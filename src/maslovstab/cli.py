@@ -9,13 +9,15 @@ identical invocations produce byte-identical artifacts.
 Curve data goes to CSV (columns documented per subcommand below), structured
 results to JSON.  The environment variable MASLOV_STAB_THREADS caps any
 internal parallelism.
+
+conjugate, square, evans and compare evolve every frame through the one
+batched propagator ``flow.propagate``; oracle and prufer share no code with it.
 """
 
 import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,39 +53,19 @@ _OVERRIDE_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated record of one invocation."""
-
-    command: str
-    model_source: str       # builtin name or config path
-    overrides: dict
-    output: str
-    fmt: str
-
-    @classmethod
-    def from_args(cls, args):
-        overrides = {}
-        for name, (lo, hi, closed_lo) in _OVERRIDE_RANGES.items():
-            value = getattr(args, name, None)
-            if value is None:
-                continue
-            ok = (value >= lo if closed_lo else value > lo) and value <= hi
-            if not ok:
-                flag = "--" + name.replace("_", "-")
-                raise CliUsageError(
-                    f"{flag} = {value!r} outside the admissible range "
-                    f"{'[' if closed_lo else '('}{lo}, {hi}]"
-                )
-            overrides[name] = value
-        return cls(
-            command=args.command,
-            model_source=getattr(args, "config", None)
-            or getattr(args, "model", None) or "",
-            overrides=overrides,
-            output=getattr(args, "output", None) or "",
-            fmt=getattr(args, "format", "csv"),
-        )
+def _check_overrides(args):
+    """Reject numeric overrides outside their admissible ranges."""
+    for name, (lo, hi, closed_lo) in _OVERRIDE_RANGES.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        ok = (value >= lo if closed_lo else value > lo) and value <= hi
+        if not ok:
+            flag = "--" + name.replace("_", "-")
+            raise CliUsageError(
+                f"{flag} = {value!r} outside the admissible range "
+                f"{'[' if closed_lo else '('}{lo}, {hi}]"
+            )
 
 
 def _fmt(value):
@@ -270,11 +252,8 @@ def _cmd_evans(args):
     model = _resolve_model(args)
     opts = _flow_options(args)
     if args.contour_center is None or args.contour_radius is None:
-        resolved = opts.resolve(model)
-        lam_inf = max(
-            flow.lambda_max_bound(model, truncation=resolved.truncation),
-            args.epsilon_shift + 1.0,
-        )
+        lam_inf = flow.lambda_ceiling(model, args.epsilon_shift,
+                                      opts.resolve(model).truncation)
         contour = evans_mod.Contour.enclosing(args.epsilon_shift, lam_inf,
                                               samples=args.contour_samples)
     else:
@@ -485,7 +464,7 @@ def main(argv=None):
         _emit_error(exc, "--json-errors" in (argv or sys.argv))
         return 1
     try:
-        RunConfig.from_args(args)  # range-validate overrides up front
+        _check_overrides(args)
         code, summary = _HANDLERS[args.command](args)
     except MaslovStabError as exc:
         _emit_error(exc, args.json_errors)

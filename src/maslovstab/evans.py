@@ -74,17 +74,7 @@ def validate_contour(model, contour, margin=1e-6):
 def _evans_values(model, lams, opts, x_match=0.0):
     """Batched Evans determinants at the given (complex) lambda values."""
     lams = np.asarray(lams, dtype=complex)
-    L = opts.truncation
-    step = flow._rk4_step_for(opts.rtol)
-    u_init = flow._asymptotic_frame_stack(model, lams, "minus", stable=False)
-    u_minus = flow._integrate_frame_stack(
-        model, lams, u_init, -L, x_match, step, opts.renorm_every
-    )
-    s_init = flow._asymptotic_frame_stack(model, lams, "plus", stable=True)
-    s_plus = flow._integrate_frame_stack(
-        model, lams, s_init, L, x_match, step, opts.renorm_every
-    )
-    return np.linalg.det(np.concatenate([u_minus, s_plus], axis=2))
+    return flow.evans_determinant(model, lams, opts, x_match)[0]
 
 
 def evans_at(model, lambda_, opts=None, x_match=0.0):
@@ -114,15 +104,14 @@ def _contour_params(samples):
     return u - np.sin(4.0 * np.pi * u) / (4.0 * np.pi)
 
 
-def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
-                   max_refine=3, x_match=0.0):
-    """Winding of the Evans value around a contour = enclosed eigenvalue count.
+def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
+                            x_match):
+    """Evans values around the closed contour and the refinement rounds used.
 
     Samples the contour, then inserts midpoints wherever consecutive phase
-    steps reach pi/2, at most max_refine rounds.  The final accumulated
-    phase must sit within 0.1 of an integer multiple of 2 pi.
+    steps reach pi/2, at most max_refine rounds.  Every round rejects a
+    contour passing within the zero margin of an Evans zero.
     """
-    opts = (opts or flow.FlowOptions()).resolve(model)
     validate_contour(model, contour)
     ts = _contour_params(contour.samples)  # closed: t=1 repeats t=0
     values = _evans_values(model, contour.point(ts % 1.0), opts, x_match=x_match)
@@ -137,7 +126,7 @@ def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
         diffs = _wrapped_diffs(np.angle(values))
         bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
         if len(bad) == 0:
-            break
+            return values, rounds
         if rounds >= max_refine:
             raise PhaseStepError(
                 f"{len(bad)} phase steps still reach pi/2 after {max_refine} "
@@ -149,6 +138,18 @@ def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
         ts = np.insert(ts, bad + 1, mid_ts)
         values = np.insert(values, bad + 1, mid_vals)
         rounds += 1
+
+
+def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
+                   max_refine=3, x_match=0.0):
+    """Winding of the Evans value around a contour = enclosed eigenvalue count.
+
+    The phase is sampled as in ``_refined_contour_values``; the final
+    accumulated phase must sit within 0.1 of an integer multiple of 2 pi.
+    """
+    opts = (opts or flow.FlowOptions()).resolve(model)
+    values, _ = _refined_contour_values(model, contour, opts, zero_margin,
+                                        max_refine, x_match)
     total = float(np.sum(_wrapped_diffs(np.angle(values))))
     winding = total / (2.0 * np.pi)
     nearest = int(np.round(winding))
@@ -162,23 +163,9 @@ def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
 def winding_refinement_rounds(model, contour, opts=None, x_match=0.0):
     """Number of midpoint-insertion rounds the winding computation needs."""
     opts = (opts or flow.FlowOptions()).resolve(model)
-    validate_contour(model, contour)
-    ts = _contour_params(contour.samples)
-    values = _evans_values(model, contour.point(ts % 1.0), opts, x_match=x_match)
-    rounds = 0
-    while True:
-        diffs = _wrapped_diffs(np.angle(values))
-        bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
-        if len(bad) == 0:
-            return rounds
-        if rounds > 10:
-            raise PhaseStepError("refinement did not terminate")
-        mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        mid_vals = _evans_values(model, contour.point(mid_ts % 1.0), opts,
-                                 x_match=x_match)
-        ts = np.insert(ts, bad + 1, mid_ts)
-        values = np.insert(values, bad + 1, mid_vals)
-        rounds += 1
+    _, rounds = _refined_contour_values(model, contour, opts, ZERO_MARGIN, 10,
+                                        x_match)
+    return rounds
 
 
 def compare_counts(model, opts=None, epsilon_shift=1e-3, contour=None,
@@ -194,10 +181,7 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, contour=None,
     if not stab.stable:
         raise ContourError("essential spectrum is unstable; no contour avoids it")
     opts = (opts or flow.FlowOptions()).resolve(model)
-    lambda_inf = max(
-        flow.lambda_max_bound(model, truncation=opts.truncation),
-        epsilon_shift + 1.0,
-    )
+    lambda_inf = flow.lambda_ceiling(model, epsilon_shift, opts.truncation)
     if contour is None:
         contour = Contour.enclosing(epsilon_shift, lambda_inf)
 

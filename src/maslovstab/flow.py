@@ -20,11 +20,13 @@ which preserves the column span exactly and keeps the exponential growth
 of individual columns from destroying the plane.
 """
 
+import gc
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import symplectic
 from .errors import (
@@ -138,104 +140,135 @@ def _normalized_eigenbasis(q_matrix):
     return vals, vecs
 
 
-def asymptotic_splitting(model, lambda_, side="minus"):
-    """Unstable/stable frames and decay rates of the asymptotic system.
+def _asymptotic_frames(model, lams, side):
+    """(K, 2n, n) unstable and stable frames and (K, n) rates over lams.
 
     For each eigenpair (q_i, v_i) of the limiting potential, the columns
     (v_i; +mu_i v_i) and (v_i; -mu_i v_i) with mu_i = sqrt(lambda - q_i)
-    span the unstable and stable subspaces; both are Lagrangian planes.
+    span the unstable and stable subspaces.  Real lams give real frames.
     """
     q_inf = model.q_minus if side == "minus" else model.q_plus
     vals, vecs = _normalized_eigenbasis(q_inf)
-    gaps = lambda_ - vals
-    if np.any(gaps <= 0.0):
+    lams = np.asarray(lams)
+    mus = np.sqrt((lams[:, None] - vals[None, :]).astype(complex))
+    if np.any(mus.real <= 0.0):
         raise NonHyperbolicError(
-            f"lambda = {lambda_!r} does not exceed the asymptotic potential "
-            f"eigenvalue {vals.max():.6g} on side {side}; the essential "
-            "spectrum is not cleared"
+            f"some lambda does not clear the asymptotic potential eigenvalue "
+            f"{vals.max():.6g} on side {side}: sqrt(lambda - q_i) has "
+            "nonpositive real part"
         )
-    mus = np.sqrt(gaps)
-    unstable = LagrangianFrame(vecs, vecs * mus)
-    stable = LagrangianFrame(vecs, -vecs * mus)
-    for frame in (unstable, stable):
-        if not symplectic.check_lagrangian(frame).passed:
-            raise NonHyperbolicError("asymptotic frame failed the Lagrangian check")
+    if np.isrealobj(lams):
+        mus = mus.real
+    top = np.broadcast_to(vecs, (len(lams),) + vecs.shape)
+    unstable = np.concatenate([top, vecs * mus[:, None, :]], axis=1)
+    stable = np.concatenate([top, -vecs * mus[:, None, :]], axis=1)
     return unstable, stable, mus
 
 
-def _qr_positive(u):
-    q, r = np.linalg.qr(u)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.iscomplexobj(d):
-        phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-        return q * phase.conj()[..., None, :]
-    signs = np.where(d < 0, -1.0, 1.0)
-    return q * signs[..., None, :]
+def asymptotic_splitting(model, lambda_, side="minus"):
+    """Unstable/stable frames and decay rates of the asymptotic system.
+
+    Both frames are Lagrangian planes; see ``_asymptotic_frames``.
+    """
+    unstable, stable, mus = _asymptotic_frames(model, np.array([float(lambda_)]), side)
+    frames = tuple(LagrangianFrame.from_stacked(f[0]) for f in (unstable, stable))
+    for frame in frames:
+        if not symplectic.check_lagrangian(frame).passed:
+            raise NonHyperbolicError("asymptotic frame failed the Lagrangian check")
+    return frames[0], frames[1], mus[0]
 
 
-class _FlowPath:
-    """Adaptive segmented evolution of the unstable frame with dense output."""
+def propagate(model, lams, frames, xs, opts):
+    """Frames of U' = J B(x; lambda_k) U at each x in xs, for all k at once.
 
-    def __init__(self, model, lambda_, opts):
-        self.model = model
-        self.lambda_ = float(lambda_)
-        self.opts = opts
-        L = opts.truncation
-        unstable, _, _ = asymptotic_splitting(model, lambda_, side="minus")
-        u0 = _qr_positive(unstable.stacked())
-        n = model.n
-        q = model.q
-        lam = self.lambda_
+    ``frames`` is the (K, 2n, n) stack at xs[0]; xs runs monotonically in
+    either direction (``[x0, x1]`` for an endpoint-only sweep).  One DOP853
+    run per renormalization segment carries the whole stack, real or
+    complex; the frames are re-orthonormalized by positive-diagonal QR every
+    ``renorm_every`` units of x.  Returns (len(xs), K, 2n, n) orthonormal
+    frames.
+    """
+    n = model.n
+    shape = frames.shape
+    lam_col = np.asarray(lams)[:, None, None]
+    q = model.q
 
-        def rhs(x, y):
-            u = y.reshape(2 * n, n)
-            out = np.empty_like(u)
-            out[:n] = u[n:]
-            out[n:] = lam * u[:n] - q(x) @ u[:n]
-            return out.ravel()
+    def rhs(x, y):
+        u = y.reshape(shape)
+        out = np.empty_like(u)
+        out[:, :n] = u[:, n:]
+        out[:, n:] = lam_col * u[:, :n] - q(x) @ u[:, :n]
+        return out.ravel()
 
-        self.segments = []           # (x0, x1, dense solution)
-        n_seg = max(1, int(math.ceil(2.0 * L / opts.renorm_every)))
-        edges = np.linspace(-L, L, n_seg + 1)
-        u = u0
-        for x0, x1 in zip(edges[:-1], edges[1:]):
-            sol = solve_ivp(
-                rhs, (x0, x1), u.ravel(), method="DOP853",
-                rtol=opts.rtol, atol=opts.rtol * 1e-2, dense_output=True,
+    xs = np.asarray(xs, dtype=float)
+    u = symplectic.qr_positive(frames)
+    out = np.empty((len(xs),) + shape, dtype=u.dtype)
+    x0, x1 = xs[0], xs[-1]
+    if x1 == x0:
+        out[:] = u
+        return out
+    sign = math.copysign(1.0, x1 - x0)
+    n_seg = max(1, int(math.ceil(abs(x1 - x0) / opts.renorm_every)))
+    edges = np.linspace(x0, x1, n_seg + 1)
+    i = 0
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        j = int(np.searchsorted(sign * xs, sign * s1, side="right"))
+        t_eval = xs[i:j] if j > i and xs[j - 1] == s1 else np.append(xs[i:j], s1)
+        sol = solve_ivp(
+            rhs, (s0, s1), u.ravel(), method="DOP853", t_eval=t_eval,
+            rtol=opts.rtol, atol=opts.rtol * 1e-2,
+        )
+        if not sol.success:
+            raise RuntimeError(
+                f"frame evolution failed near x = {sol.t[-1]:.6g}: {sol.message}"
             )
-            if not sol.success:
-                raise RuntimeError(
-                    f"frame evolution failed near x = {sol.t[-1]:.6g}: {sol.message}"
-                )
-            self.segments.append((x0, x1, sol))
-            u = _qr_positive(sol.y[:, -1].reshape(2 * n, n))
-        self.n = n
-        # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
-        # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
-        # never skipped regardless of the potential's strength
-        bound = 1.0
-        for x in np.linspace(-L, L, 201):
-            row_sum = float(np.max(np.sum(np.abs(q(x)), axis=1)))
-            bound = max(bound, row_sum + abs(lam))
-        self.sample_step = min(opts.sample_dx, 0.7 / (2.0 * bound))
+        # the finished solver refers to itself through its RHS wrapper; free
+        # its stage arrays now instead of letting them pile up until a full
+        # collection
+        gc.collect(1)
+        stack = symplectic.qr_positive(sol.y.T.reshape((-1,) + shape))
+        out[i:j] = stack[: j - i]
+        u = stack[-1]
+        i = j
+    return out
 
-    def frame_matrix_at(self, x):
-        """Raw (2n, n) frame at x; continuous within each segment."""
-        for x0, x1, sol in self.segments:
-            if x0 <= x <= x1:
-                return sol.sol(x).reshape(2 * self.n, self.n)
-        raise ValueError(f"x = {x} outside [{self.segments[0][0]}, {self.segments[-1][1]}]")
 
-    def frame_at(self, x):
-        m = self.frame_matrix_at(x)
-        return LagrangianFrame(m[: self.n], m[self.n:])
+def _sample_grid(model, lambda_, opts):
+    """Positions of the recorded frames along [-L, L], renormalization
+    points included."""
+    L = opts.truncation
+    # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
+    # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
+    # never skipped regardless of the potential's strength
+    bound = 1.0
+    for x in np.linspace(-L, L, 201):
+        row_sum = float(np.max(np.sum(np.abs(model.q(x)), axis=1)))
+        bound = max(bound, row_sum + abs(lambda_))
+    step = min(opts.sample_dx, 0.7 / (2.0 * bound))
+    n_seg = max(1, int(math.ceil(2.0 * L / opts.renorm_every)))
+    edges = np.linspace(-L, L, n_seg + 1)
+    xs = [edges[0]]
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        m = max(2, int(math.ceil((x1 - x0) / step)) + 1)
+        xs.extend(np.linspace(x0, x1, m)[1:])
+    return np.array(xs)
 
-    def sample_xs(self):
-        xs = [self.segments[0][0]]
-        for x0, x1, _ in self.segments:
-            m = max(2, int(math.ceil((x1 - x0) / self.sample_step)) + 1)
-            xs.extend(np.linspace(x0, x1, m)[1:])
-        return np.array(xs)
+
+def _unstable_path(model, lambda_, opts):
+    """Sample grid and frames of the plane decaying at -infinity."""
+    xs = _sample_grid(model, lambda_, opts)
+    lams = np.array([float(lambda_)])
+    unstable, _, _ = _asymptotic_frames(model, lams, "minus")
+    frames = propagate(model, lams, unstable, xs, opts)[:, 0]
+    return xs, frames
+
+
+def lagrangian_drift(model, lambda_, opts=None):
+    """Largest Lagrangian residual along the evolved path."""
+    opts = (opts or FlowOptions()).resolve(model)
+    _, frames = _unstable_path(model, lambda_, opts)
+    return max(symplectic.check_lagrangian(LagrangianFrame.from_stacked(m)).asymmetry
+               for m in frames)
 
 
 def evolve_unstable_frame(model, lambda_, opts=None):
@@ -246,85 +279,64 @@ def evolve_unstable_frame(model, lambda_, opts=None):
     tolerance anywhere along the path.
     """
     opts = (opts or FlowOptions()).resolve(model)
-    path = _FlowPath(model, lambda_, opts)
-    out = []
-    worst = (0.0, None)
-    for x in path.sample_xs():
-        m = _qr_positive(path.frame_matrix_at(x))
-        frame = LagrangianFrame(m[: model.n], m[model.n:])
-        rep = symplectic.check_lagrangian(frame)
-        if rep.asymmetry > worst[0]:
-            worst = (rep.asymmetry, x)
-        out.append((float(x), frame))
-    if worst[0] > 10.0 * symplectic.LAGR_TOL:
+    xs, frames = _unstable_path(model, lambda_, opts)
+    out = [(float(x), LagrangianFrame.from_stacked(m)) for x, m in zip(xs, frames)]
+    drifts = [symplectic.check_lagrangian(f).asymmetry for _, f in out]
+    k = int(np.argmax(drifts))
+    if drifts[k] > 10.0 * symplectic.LAGR_TOL:
         raise InconsistencyError(
-            f"Lagrangian residual drifted to {worst[0]:.3e} at x = {worst[1]:.4g} "
+            f"Lagrangian residual drifted to {drifts[k]:.3e} at x = {xs[k]:.4g} "
             f"(limit {10.0 * symplectic.LAGR_TOL:.1e}); reduce rtol or renorm_every"
         )
     return out
 
 
-def lagrangian_drift(model, lambda_, opts=None):
-    """Largest Lagrangian residual along the evolved path."""
-    opts = (opts or FlowOptions()).resolve(model)
-    path = _FlowPath(model, lambda_, opts)
-    worst = 0.0
-    for x in path.sample_xs():
-        m = _qr_positive(path.frame_matrix_at(x))
-        rep = symplectic.check_lagrangian(LagrangianFrame(m[: model.n], m[model.n:]))
-        worst = max(worst, rep.asymmetry)
-    return worst
-
-
-def _beta_nearest(path, x):
-    """Signed phase of the W-eigenvalue nearest -1 at position x."""
-    red = symplectic.unitary_reduction(path.frame_at(x))
+def _crossing_phase(frame_matrix):
+    """Signed phase of the W-eigenvalue nearest -1."""
+    red = symplectic.unitary_reduction(LagrangianFrame.from_stacked(frame_matrix))
     betas = symplectic.eigenphases_from_minus_one(red.w)
-    return betas[np.argmin(np.abs(betas))]
+    return float(betas[np.argmin(np.abs(betas))])
 
 
-def _refine_crossing(path, x_lo, x_hi, xtol):
-    b_lo = _beta_nearest(path, x_lo)
-    b_hi = _beta_nearest(path, x_hi)
+def _refine_crossing(model, lambda_, x_lo, frame_lo, x_hi, xtol, opts):
+    """Root of the crossing phase on [x_lo, x_hi], re-integrating from the
+    recorded frame at x_lo for every trial point."""
+    lams = np.array([float(lambda_)])
+
+    def beta(x):
+        frame = propagate(model, lams, frame_lo[None], [x_lo, x], opts)[-1, 0]
+        return _crossing_phase(frame)
+
+    b_lo = beta(x_lo)
+    b_hi = beta(x_hi)
     if b_lo == 0.0:
         return x_lo
     if b_hi == 0.0 or np.sign(b_lo) == np.sign(b_hi):
         return x_hi
-    while x_hi - x_lo > xtol:
-        mid = 0.5 * (x_lo + x_hi)
-        b_mid = _beta_nearest(path, mid)
-        if b_mid == 0.0:
-            return mid
-        if np.sign(b_mid) == np.sign(b_lo):
-            x_lo = mid
-        else:
-            x_hi = mid
-    return 0.5 * (x_lo + x_hi)
+    return brentq(beta, x_lo, x_hi, xtol=xtol)
 
 
-def _det_a_sign_changes(path, xs):
-    dets = np.array([np.linalg.det(path.frame_matrix_at(x)[: path.n]) for x in xs])
-    scale = np.max(np.abs(dets))
-    if scale == 0.0:
-        return 0
-    signs = np.sign(dets)
-    live = signs != 0
-    s = signs[live]
+def _det_a_sign_changes(frames, n):
+    signs = np.sign(np.linalg.det(frames[:, :n]))
+    s = signs[signs != 0]
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
 def _detect_events(model, lambda_star, opts):
-    path = _FlowPath(model, lambda_star, opts)
-    xs = path.sample_xs()
-    frames = [path.frame_at(x) for x in xs]
-    result = symplectic.path_maslov_index(frames, xs, crossing_tol=opts.crossing_tol)
+    n = model.n
+    xs, frames = _unstable_path(model, lambda_star, opts)
+    result = symplectic.path_maslov_index(
+        [LagrangianFrame.from_stacked(m) for m in frames], xs,
+        crossing_tol=opts.crossing_tol,
+    )
     span = xs[-1] - xs[0]
     xtol = max(1e-12 * span, 1e-13)
     refined = []
     for ev in result.events:
         k = int(np.searchsorted(xs, ev.param, side="right")) - 1
         k = min(max(k, 0), len(xs) - 2)
-        x_star = _refine_crossing(path, xs[k], xs[k + 1], xtol)
+        x_star = _refine_crossing(model, lambda_star, xs[k], frames[k], xs[k + 1],
+                                  xtol, opts)
         refined.append(CrossingEvent(float(x_star), ev.multiplicity, ev.direction))
     refined.sort(key=lambda e: e.param)
     merged = []
@@ -337,7 +349,7 @@ def _detect_events(model, lambda_star, opts):
                                        prev.direction)
         else:
             merged.append(ev)
-    det_changes = _det_a_sign_changes(path, xs)
+    det_changes = _det_a_sign_changes(frames, n)
     odd_events = sum(1 for e in merged if e.multiplicity % 2 == 1)
     return tuple(merged), det_changes, odd_events
 
@@ -345,10 +357,11 @@ def _detect_events(model, lambda_star, opts):
 def detect_conjugate_points(model, lambda_star, opts=None):
     """Conjugate points of the evolved plane, as crossing events in x.
 
-    Crossings are found from W-eigenvalue phases and refined by bisection
-    on the dense solution; the count must agree with the number of sign
-    changes of det(a_block) along the path.  On disagreement the evolution
-    is retried once at halved tolerances, then aborts.
+    Crossings are found from W-eigenvalue phases and refined by root
+    finding on the phase, re-integrated from the nearest recorded frame;
+    the count must agree with the number of sign changes of det(a_block)
+    along the path.  On disagreement the evolution is retried once at
+    halved tolerances, then aborts.
     """
     opts = (opts or FlowOptions()).resolve(model)
     events, det_changes, odd_events = _detect_events(model, lambda_star, opts)
@@ -378,84 +391,30 @@ def lambda_max_bound(model, truncation=None, n_samples=4001):
     return 1.0 + top
 
 
-# ---------------------------------------------------------------------------
-# Batched fixed-step integration over many lambda values at once (used for
-# the top edge of the square and by the Evans module).
+def lambda_ceiling(model, lambda_star, truncation):
+    """Spectral level lambda_inf closing the count region above lambda_star.
 
-def _asymptotic_frame_stack(model, lams, side, stable):
-    """(K, 2n, n) initial frames over a vector of (possibly complex) lambdas."""
-    q_inf = model.q_minus if side == "minus" else model.q_plus
-    vals, vecs = _normalized_eigenbasis(q_inf)
-    lams = np.asarray(lams)
-    gaps = lams[:, None] - vals[None, :]
-    mus = np.sqrt(gaps.astype(complex))
-    if np.any(mus.real <= 0.0):
-        raise NonHyperbolicError(
-            f"non-hyperbolic asymptotic matrix on side {side}: some "
-            "sqrt(lambda - q_i) has nonpositive real part"
-        )
-    sign = -1.0 if stable else 1.0
-    k = len(lams)
-    n = model.n
-    frames = np.empty((k, 2 * n, n), dtype=complex)
-    frames[:, :n, :] = vecs[None, :, :]
-    frames[:, n:, :] = sign * vecs[None, :, :] * mus[:, None, :]
-    if np.isrealobj(lams):
-        frames = frames.real.astype(float)
-    return frames
+    The Rayleigh bound can fall below lambda_star for strongly negative
+    potentials; any level above the spectrum works, so it is lifted to at
+    least lambda_star + 1.
+    """
+    return max(lambda_max_bound(model, truncation=truncation), lambda_star + 1.0)
 
 
-def _integrate_frame_stack(model, lams, frames, x0, x1, step, renorm_every):
-    """March U' = JB(x; lambda_k) U for all k with fixed-step RK4 + QR."""
-    n = model.n
-    lams = np.asarray(lams)
-    lam_col = lams[:, None, None]
-    q = model.q
+def evans_determinant(model, lams, opts, x_match):
+    """Evans values det[U_-(x_match) | U_+(x_match)] over lams, and U_-.
 
-    def deriv(x, u):
-        out = np.empty_like(u)
-        out[:, :n, :] = u[:, n:, :]
-        out[:, n:, :] = lam_col * u[:, :n, :] - np.matmul(q(x), u[:, :n, :])
-        return out
-
-    total = x1 - x0
-    if total == 0.0:
-        return frames
-    n_seg = max(1, int(math.ceil(abs(total) / renorm_every)))
-    edges = np.linspace(x0, x1, n_seg + 1)
-    u = frames
-    for s0, s1 in zip(edges[:-1], edges[1:]):
-        m = max(1, int(math.ceil(abs(s1 - s0) / step)))
-        h = (s1 - s0) / m
-        x = s0
-        for _ in range(m):
-            k1 = deriv(x, u)
-            k2 = deriv(x + 0.5 * h, u + 0.5 * h * k1)
-            k3 = deriv(x + 0.5 * h, u + 0.5 * h * k2)
-            k4 = deriv(x + h, u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x += h
-        u = _qr_positive(u)
-    return u
-
-
-def _rk4_step_for(rtol):
-    return min(0.02, max(0.01, 2.0 * rtol**0.25))
-
-
-def _top_edge_frames(model, lams, opts):
+    U_- spans the solutions decaying at -infinity, evolved forward from -L;
+    U_+ those decaying at +infinity, evolved backward from +L.  Both come
+    out orthonormalized, which rescales the determinant by a positive
+    factor only.
+    """
     L = opts.truncation
-    init = _asymptotic_frame_stack(model, lams, "minus", stable=False)
-    step = _rk4_step_for(opts.rtol)
-    return _integrate_frame_stack(model, lams, init, -L, L, step, opts.renorm_every)
-
-
-def _real_evans_values(model, lams, frames_at_l):
-    """det[ evolved unstable frame | asymptotic stable frame ] at x = +L."""
-    stable = _asymptotic_frame_stack(model, lams, "plus", stable=True)
-    stable = _qr_positive(stable)
-    stacked = np.concatenate([frames_at_l, stable], axis=2)
-    return np.linalg.det(stacked)
+    unstable, _, _ = _asymptotic_frames(model, lams, "minus")
+    _, stable, _ = _asymptotic_frames(model, lams, "plus")
+    u_minus = propagate(model, lams, unstable, [-L, x_match], opts)[-1]
+    s_plus = propagate(model, lams, stable, [L, x_match], opts)[-1]
+    return np.linalg.det(np.concatenate([u_minus, s_plus], axis=2)), u_minus
 
 
 def _interpolated_evans_roots(model, lams, changes, opts, sub_points=33,
@@ -473,10 +432,8 @@ def _interpolated_evans_roots(model, lams, changes, opts, sub_points=33,
         if not brackets:
             break
         subs = [np.linspace(a, b, sub_points) for a, b in brackets]
-        values = np.real(_real_evans_values(
-            model, np.concatenate(subs),
-            _top_edge_frames(model, np.concatenate(subs), opts),
-        ))
+        values, _ = evans_determinant(model, np.concatenate(subs), opts,
+                                      opts.truncation)
         next_brackets = []
         roots = []
         for i, sub in enumerate(subs):
@@ -499,28 +456,21 @@ def _interpolated_evans_roots(model, lams, changes, opts, sub_points=33,
     return roots
 
 
-def _crossing_phase(frame_matrix, n):
-    frame = LagrangianFrame(frame_matrix[:n], frame_matrix[n:])
-    betas = symplectic.eigenphases_from_minus_one(symplectic.unitary_reduction(frame).w)
-    return float(betas[np.argmin(np.abs(betas))])
-
-
 def _top_edge(model, lambda_star, lambda_inf, opts):
     """Eigenvalue crossings on the top edge of the square.
 
     At x = +L the W-eigenvalue passes -1 inside a lambda-window of width
     ~ e^{-2 mu L}, far below float resolution, so phase sampling cannot see
-    the passage; the real Evans determinant crosses zero transversally at
-    the same lambda and is the computable surrogate.  Each sign change
-    yields one event; its direction is the sign of the monotone phase
-    drift of the eigenvalue nearest -1 across the bracketing interval
+    the passage; the real Evans determinant matched at x = +L crosses zero
+    transversally at the same lambda and is the computable surrogate.  Each
+    sign change yields one event; its direction is the sign of the monotone
+    phase drift of the eigenvalue nearest -1 across the bracketing interval
     (eigenvalue crossings come out -1, opposite to conjugate points).
     """
     k_grid = 129
     for round_ in range(3):
         lams = np.linspace(lambda_star, lambda_inf, k_grid)
-        frames_l = _top_edge_frames(model, lams, opts)
-        evans = np.real(_real_evans_values(model, lams, frames_l))
+        evans, frames_l = evans_determinant(model, lams, opts, opts.truncation)
         scale = np.max(np.abs(evans))
         if scale == 0.0:
             raise CountMismatchError("Evans determinant vanished along the top edge")
@@ -539,8 +489,8 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
         roots = _interpolated_evans_roots(model, lams, changes, opts)
         events = []
         for j, root in zip(changes, roots):
-            b_lo = _crossing_phase(frames_l[j], model.n)
-            b_hi = _crossing_phase(frames_l[j + 1], model.n)
+            b_lo = _crossing_phase(frames_l[j])
+            b_hi = _crossing_phase(frames_l[j + 1])
             drift = float(np.arctan2(np.sin(b_hi - b_lo), np.cos(b_hi - b_lo)))
             direction = -1 if drift < 0 else 1
             events.append(CrossingEvent(float(root), 1, direction))
@@ -551,11 +501,11 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
 def _bottom_edge_empty(model, lambda_star, lambda_inf, n_samples=65):
     """The frame at x = -L is the asymptotic unstable frame: never Dirichlet."""
     lams = np.linspace(lambda_star, lambda_inf, n_samples)
-    for lam in lams:
-        unstable, _, _ = asymptotic_splitting(model, lam, side="minus")
-        if symplectic.dirichlet_intersection_dim(unstable) != 0:
-            return False
-    return True
+    unstable, _, _ = _asymptotic_frames(model, lams, "minus")
+    return all(
+        symplectic.dirichlet_intersection_dim(LagrangianFrame.from_stacked(m)) == 0
+        for m in unstable
+    )
 
 
 def maslov_square(model, lambda_star, opts=None):
@@ -567,11 +517,7 @@ def maslov_square(model, lambda_star, opts=None):
     loop must be zero; a nonzero value is reported, never corrected.
     """
     opts = (opts or FlowOptions()).resolve(model)
-    # the Rayleigh bound can fall below lambda_star for strongly negative
-    # potentials; any level above the spectrum works, so lift the top edge
-    lambda_inf = max(
-        lambda_max_bound(model, truncation=opts.truncation), lambda_star + 1.0
-    )
+    lambda_inf = lambda_ceiling(model, lambda_star, opts.truncation)
     left = detect_conjugate_points(model, lambda_star, opts)
     top = _top_edge(model, lambda_star, lambda_inf, opts)
     right = detect_conjugate_points(model, lambda_inf, opts)
@@ -594,16 +540,12 @@ def maslov_square(model, lambda_star, opts=None):
     )
 
 
-def count_unstable_eigenvalues(model, opts=None, epsilon_shift=1e-3,
-                               with_winding=False, with_oracle=False,
-                               oracle_h=0.02):
+def count_unstable_eigenvalues(model, opts=None, epsilon_shift=1e-3):
     """Unstable-eigenvalue count from conjugate points at lambda = epsilon_shift.
 
-    The shift steps off the translation eigenvalue at zero.  Optional
-    cross-checks: the Evans winding number over a contour enclosing
-    (epsilon_shift, lambda_inf], and the finite-difference oracle count.
-    For pulse models a count of zero contradicts the instability theorem
-    and raises.
+    The shift steps off the translation eigenvalue at zero.  For pulse
+    models a count of zero contradicts the instability theorem and raises.
+    ``evans.compare_counts`` adds the winding and oracle cross-checks.
     """
     stab = check_essential_stability(model)
     if not stab.stable:
@@ -619,28 +561,9 @@ def count_unstable_eigenvalues(model, opts=None, epsilon_shift=1e-3,
             "pulse model produced zero conjugate points, contradicting the "
             "pulse instability theorem; treat as a numerical failure"
         )
-    lambda_inf = max(
-        lambda_max_bound(model, truncation=opts.truncation), epsilon_shift + 1.0
-    )
-    winding = None
-    if with_winding:
-        from . import evans
-
-        winding = evans.winding_number(
-            model, evans.Contour.enclosing(epsilon_shift, lambda_inf), opts
-        )
-    oracle_count = None
-    if with_oracle:
-        from . import oracle
-
-        oracle_count = oracle.oracle_count_above(
-            model, opts.truncation, oracle_h, epsilon_shift
-        )
     return SpectralReport(
         conjugate_count=int(count),
-        winding_count=winding,
-        oracle_count=oracle_count,
         epsilon_shift=float(epsilon_shift),
-        lambda_inf=lambda_inf,
+        lambda_inf=lambda_ceiling(model, epsilon_shift, opts.truncation),
         events=events,
     )

@@ -141,16 +141,25 @@ def check_lagrangian(frame, rank_tol=RANK_TOL, asym_tol=LAGR_TOL):
     return LagrangianCheck(defect, asym_norm, float(s[-1]), passed)
 
 
-def orthonormalized_blocks(frame):
-    """Column-orthonormal representative (A, B) of the same plane.
+def qr_positive(u):
+    """Orthonormal factor of QR over a stack of (2n, n) matrices, real or complex.
 
-    Uses QR with the positive-diagonal convention so the representative
-    depends continuously on the input frame wherever it has full rank.
+    Each column is rephased so that the diagonal of R is real and positive;
+    the factor then depends continuously on the input wherever it has full
+    rank, and it spans the same plane.
     """
-    q, r = np.linalg.qr(frame.stacked())
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q, r = np.linalg.qr(u)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.iscomplexobj(d):
+        mag = np.abs(d)
+        phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+        return q * phase.conj()[..., None, :]
+    return q * np.where(d < 0, -1.0, 1.0)[..., None, :]
+
+
+def orthonormalized_blocks(frame):
+    """Column-orthonormal representative (A, B) of the same plane."""
+    q = qr_positive(frame.stacked())
     n = frame.dim
     return q[:n], q[n:]
 
@@ -207,12 +216,15 @@ def maslov_angle(frame):
 
 
 def plane_distance(frame1, frame2):
-    """Distance between column spans: sine of the largest principal angle."""
-    a1, b1 = orthonormalized_blocks(frame1)
-    a2, b2 = orthonormalized_blocks(frame2)
-    p1 = np.vstack([a1, b1])
-    p2 = np.vstack([a2, b2])
-    return float(np.linalg.norm(p1 @ p1.T - p2 @ p2.T, 2))
+    """Distance between column spans: sine of the largest principal angle.
+
+    Takes LagrangianFrames or raw (2n, n) matrices, real or complex.
+    """
+    p1, p2 = (
+        qr_positive(f.stacked() if isinstance(f, LagrangianFrame) else f)
+        for f in (frame1, frame2)
+    )
+    return float(np.linalg.norm(p1 @ p1.conj().T - p2 @ p2.conj().T, 2))
 
 
 def _wrap_pi(x):

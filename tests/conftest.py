@@ -1,4 +1,5 @@
 import pathlib
+from itertools import zip_longest
 
 import pytest
 
@@ -14,6 +15,19 @@ def pytest_addoption(parser):
     )
 
 
+def _first_difference(name, produced, committed):
+    """Name the first line where the produced bytes leave the golden copy."""
+    pairs = zip_longest(produced.splitlines(keepends=True),
+                        committed.splitlines(keepends=True),
+                        fillvalue=b"<end of file>")
+    for number, (new, old) in enumerate(pairs, start=1):
+        if new != old:
+            return (f"{name} drifted from its golden copy at line {number}:\n"
+                    f"  produced:  {new!r}\n"
+                    f"  committed: {old!r}")
+    return f"{name} drifted from its golden copy"
+
+
 @pytest.fixture
 def golden(request, tmp_path):
     """Compare a produced artifact against its committed golden copy."""
@@ -27,6 +41,8 @@ def golden(request, tmp_path):
             ref.write_bytes(produced)
             return
         assert ref.exists(), f"golden file {name} missing; run with --regen-golden"
-        assert produced == ref.read_bytes(), f"{name} drifted from its golden copy"
+        committed = ref.read_bytes()
+        if produced != committed:
+            pytest.fail(_first_difference(name, produced, committed), pytrace=False)
 
     return check

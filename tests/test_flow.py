@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from maslovstab import flow, oracle, prufer, symplectic
 from maslovstab.errors import NonHyperbolicError, OptionsError
+from maslovstab.evans import compare_counts
 from maslovstab.flow import (
     FlowOptions,
     asymptotic_splitting,
@@ -75,6 +76,37 @@ class TestAsymptoticSplitting:
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
             asymptotic_splitting(SECH, -1.5)
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("model, lams", [
+        (SECH, np.linspace(0.2, 2.8, 7)),
+        (SECH, 1.25 + 0.8 * np.exp(2j * np.pi * (np.arange(7) + 0.25) / 7)),
+        (DEMO, np.linspace(0.2, 2.8, 7)),
+        (DEMO, 1.25 + 0.8 * np.exp(2j * np.pi * (np.arange(7) + 0.25) / 7)),
+    ])
+    def test_batch_matches_single_runs(self, model, lams):
+        # solve_ivp's error norm is an RMS over the whole state, so a batch
+        # could hide one lambda's error; each member must match its own run
+        opts = FlowOptions().resolve(model)
+        L = opts.truncation
+        xs = [-L, 0.0, L]
+        init, _, _ = flow._asymptotic_frames(model, lams, "minus")
+        batch = flow.propagate(model, lams, init, xs, opts)
+        assert batch.shape == (3,) + init.shape
+        for k in range(len(lams)):
+            single = flow.propagate(model, lams[k:k + 1], init[k:k + 1], xs, opts)
+            for i in (1, 2):
+                assert symplectic.plane_distance(batch[i, k], single[i, 0]) <= 1e-8
+
+    def test_zero_length_span_returns_qr_of_input(self):
+        rng = np.random.default_rng(5)
+        frames = rng.normal(size=(3, 4, 2))
+        opts = FlowOptions().resolve(DEMO)
+        out = flow.propagate(DEMO, np.array([0.5, 1.0, 2.0]), frames, [1.5, 1.5], opts)
+        expected = symplectic.qr_positive(frames)
+        assert_allclose(out[0], expected, atol=1e-15)
+        assert_allclose(out[1], expected, atol=1e-15)
 
 
 class TestEvolve:
@@ -192,7 +224,7 @@ class TestCountUnstable:
     def test_demo_matches_oracle(self):
         # the demo stacks one pulse block (eigenvalue 1.25) and one front
         # block (top eigenvalue 0, below the shift): the union count is 1
-        rep = count_unstable_eigenvalues(DEMO, with_oracle=True)
+        rep = compare_counts(DEMO)
         assert rep.oracle_count == 1
         assert rep.conjugate_count == 1
         assert rep.agree
