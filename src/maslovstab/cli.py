@@ -24,7 +24,7 @@ import numpy as np
 from . import evans as evans_mod
 from . import flow, oracle, prufer, radial
 from .errors import ConfigError, MaslovStabError
-from .models import BUILTIN_NAMES, builtin, from_config
+from .models import BUILTIN_NAMES, builtin, check_essential_stability, from_config
 
 COMMANDS = (
     "prufer", "spectrum", "conjugate", "square", "evans", "compare",
@@ -53,15 +53,31 @@ _OVERRIDE_RANGES = {
 }
 
 
+# float options whose admissible range (if any) does not already exclude
+# inf and nan
+_FINITE = (
+    "lambda_star", "truncation", "contour_center", "contour_radius",
+    "epsilon_shift",
+)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _check_overrides(args):
-    """Reject numeric overrides outside their admissible ranges."""
+    """Reject non-finite floats and numeric overrides outside their ranges."""
+    for name in _FINITE:
+        value = getattr(args, name, None)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise CliUsageError(f"{_flag(name)} = {value!r} must be finite")
     for name, (lo, hi, closed_lo) in _OVERRIDE_RANGES.items():
         value = getattr(args, name, None)
         if value is None:
             continue
         ok = (value >= lo if closed_lo else value > lo) and value <= hi
         if not ok:
-            flag = "--" + name.replace("_", "-")
+            flag = _flag(name)
             raise CliUsageError(
                 f"{flag} = {value!r} outside the admissible range "
                 f"{'[' if closed_lo else '('}{lo}, {hi}]"
@@ -173,6 +189,9 @@ def _cmd_spectrum(args):
         disc = oracle.discretize(model, opts.truncation, args.grid_step)
         vals = oracle.eigenvalues(disc, k=count)
         method = "oracle"
+    # eigenvalues of the truncated problem inside the essential spectrum are
+    # artifacts of the box, not eigenvalues of the operator on the line
+    vals = vals[vals > check_essential_stability(model).max_eig_qinf]
     if args.output:
         if args.format == "json":
             _write_json(args.output, {"method": method,

@@ -74,3 +74,7 @@ class SeparationError(MaslovStabError):
 
 class DiscretizationError(MaslovStabError):
     """Finite-difference discretization violates its size or step bounds."""
+
+
+class SolverError(MaslovStabError):
+    """A numerical integration failed or lost track of its solution."""

@@ -34,6 +34,7 @@ from .errors import (
     InconsistencyError,
     NonHyperbolicError,
     OptionsError,
+    SolverError,
 )
 from .models import check_essential_stability
 from .symplectic import CrossingEvent, LagrangianFrame
@@ -219,7 +220,7 @@ def propagate(model, lams, frames, xs, opts):
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
-            raise RuntimeError(
+            raise SolverError(
                 f"frame evolution failed near x = {sol.t[-1]:.6g}: {sol.message}"
             )
         # the finished solver refers to itself through its RHS wrapper; free

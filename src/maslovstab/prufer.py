@@ -12,17 +12,23 @@ conjugate points all reduce to reading this one scalar trajectory.  The
 radial amplitude r is never integrated.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import BoundaryResonanceError, BracketError, NotAnEigenvalueError
+from .errors import (
+    BoundaryResonanceError,
+    BracketError,
+    NotAnEigenvalueError,
+    SolverError,
+)
 
 ANGLE_TOL = 1e-9
 RESONANCE_TOL = 1e-7
+# interior points per open bracket in each round of find_eigenvalues
+MULTISECTION_POINTS = 15
 
 
 @dataclass(frozen=True)
@@ -80,36 +86,48 @@ def continuity_metric(prob, samples=512):
     )
 
 
-def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
-    """Integrate the decoupled angle equation with theta(a) = 0."""
-    lam = float(lambda_)
+def _angle_solution(prob, lams, rtol, dense_output=False):
+    """Integrate the angle equation for a vector of lambdas at once.
+
+    The state holds one angle per lambda; every right-hand side evaluation
+    reads q once, so a batch costs about one shot's worth of solver steps.
+    """
+    lams = np.asarray(lams, dtype=float)
     q = prob.q
 
-    def rhs(x, y):
-        s, c = math.sin(y[0]), math.cos(y[0])
-        return (c * c + (float(q(x)) - lam) * s * s,)
+    def rhs(x, theta):
+        s, c = np.sin(theta), np.cos(theta)
+        return c * c + (float(q(x)) - lams) * s * s
 
     sol = solve_ivp(
         rhs,
         prob.interval,
-        [0.0],
+        np.zeros(len(lams)),
         method="DOP853",
         rtol=rtol,
         atol=max(rtol * 1e-2, 1e-14),
-        dense_output=True,
+        dense_output=dense_output,
     )
     if not sol.success:
-        raise RuntimeError(
+        raise SolverError(
             f"angle integration failed near x = {sol.t[-1]:.6g}: {sol.message}"
         )
+    return sol
+
+
+def _theta_ends(prob, lams, rtol):
+    """theta(b; lambda) for every lambda in `lams`, from one integration."""
+    return _angle_solution(prob, lams, rtol).y[:, -1]
+
+
+def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
+    """Integrate the decoupled angle equation with theta(a) = 0."""
+    lam = float(lambda_)
+    sol = _angle_solution(prob, [lam], rtol, dense_output=True)
     xs = np.linspace(prob.a, prob.b, n_samples)
     thetas = sol.sol(xs)[0]
     samples = np.column_stack([xs, thetas])
     return PruferTrajectory(lam, samples, float(sol.y[0, -1]), dense=sol)
-
-
-def _theta_end(prob, lam, rtol):
-    return prufer_flow(prob, lam, rtol=rtol, n_samples=2).theta_end
 
 
 def _check_resonance(theta_end, tol=RESONANCE_TOL):
@@ -123,7 +141,7 @@ def _check_resonance(theta_end, tol=RESONANCE_TOL):
 
 def count_eigenvalues_above(prob, lambda_star, rtol=1e-10):
     """Number of Dirichlet eigenvalues strictly above lambda_star."""
-    theta_end = _theta_end(prob, lambda_star, rtol)
+    theta_end = _theta_ends(prob, [lambda_star], rtol)[0]
     _check_resonance(theta_end)
     return int(np.floor(theta_end / np.pi))
 
@@ -134,61 +152,67 @@ def _q_supremum(prob, samples=1001):
 
 
 def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
-    """The top eigenvalues lambda_0 > lambda_1 > ... by angle bisection.
+    """The top eigenvalues lambda_0 > lambda_1 > ... by lockstep multisection.
 
-    Solves theta(b; lambda_j) = (j+1) pi; theta(b; .) is strictly decreasing
-    in lambda so each root is bracketed and refined with brentq.
+    Solves theta(b; lambda_j) = (j+1) pi.  theta(b; .) is strictly
+    decreasing in lambda, so every evaluated (lambda, theta) pair narrows
+    the bracket of each target angle at once.  Each round places
+    MULTISECTION_POINTS interior points in every open bracket and evaluates
+    all of them in one batched shot, until every bracket is as narrow as
+    brentq's default tolerance.
 
     On long intervals theta(b; .) drops through the target over a lambda
     window of width ~ e^{-2 mu (b-a)}, often below float resolution; the
     angle residual is then unattainable and a root is instead accepted when
-    a bracket of a few ulps still straddles the target angle.
+    its final bracket, a few ulps wide, still straddles the target angle.
     """
     if how_many < 1:
         raise ValueError("how_many must be >= 1")
+    targets = np.pi * np.arange(1, how_many + 1)
     q_sup = _q_supremum(prob)
-    width = prob.b - prob.a
-    out = []
     hi = q_sup + 1.0
-    theta_hi = _theta_end(prob, hi, rtol)
-    for j in range(how_many):
-        target = (j + 1) * np.pi
-        if theta_hi >= target:
-            raise BracketError("upper bracket does not undershoot the target angle")
-        lo = q_sup - ((j + 1) * np.pi / width) ** 2 - 1.0
-        for _ in range(60):
-            if _theta_end(prob, lo, rtol) > target:
-                break
-            lo = hi - 2.0 * (hi - lo)
-        else:
+    lo = q_sup - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
+    lams = np.array([hi, lo])
+    thetas = _theta_ends(prob, lams, rtol)
+    if thetas[0] >= targets[0]:
+        raise BracketError("upper bracket does not undershoot the target angle")
+    while thetas[-1] <= targets[-1]:
+        if len(lams) > 60:
             raise BracketError(
-                f"could not bracket eigenvalue {j}: theta(b) never exceeds "
-                f"{target:.6g} down to lambda = {lo:.6g}"
+                f"could not bracket eigenvalue {how_many - 1}: theta(b) never "
+                f"exceeds {targets[-1]:.6g} down to lambda = {lo:.6g}"
             )
-        lam = brentq(
-            lambda L: _theta_end(prob, L, rtol) - target,
-            lo,
-            hi,
-            xtol=1e-13,
-            rtol=8.9e-16,
+        lo = hi - 2.0 * (hi - lo)
+        lams = np.append(lams, lo)
+        thetas = np.append(thetas, _theta_ends(prob, [lo], rtol))
+    fractions = np.arange(1, MULTISECTION_POINTS + 1) / (MULTISECTION_POINTS + 1)
+    while True:
+        order = np.argsort(lams)
+        lams, thetas = lams[order], thetas[order]
+        # bracket of target j: the first lambda whose angle falls below it and
+        # the one before, whose angle does not
+        upper = np.argmax(thetas[None, :] < targets[:, None], axis=1)
+        lower_lam, upper_lam = lams[upper - 1], lams[upper]
+        width = upper_lam - lower_lam
+        xtol = 1e-13 + 8.9e-16 * np.maximum(abs(lower_lam), abs(upper_lam))
+        k = np.unique(upper[width > xtol])
+        fresh = lams[k - 1, None] + (lams[k] - lams[k - 1])[:, None] * fractions
+        fresh = np.setdiff1d(fresh, lams)
+        if len(fresh) == 0:
+            break
+        lams = np.append(lams, fresh)
+        thetas = np.append(thetas, _theta_ends(prob, fresh, rtol))
+    mids = 0.5 * (lower_lam + upper_lam)
+    residuals = abs(_theta_ends(prob, mids, rtol) - targets)
+    pinched = 0.5 * width <= 1e-9 * (1.0 + abs(mids))
+    failed = np.nonzero((residuals >= angle_tol) & ~pinched)[0]
+    if len(failed):
+        j = failed[0]
+        raise BracketError(
+            f"eigenvalue {j} refined to residual {residuals[j]:.3e} >= "
+            f"{angle_tol:.1e} without a pinched bracket"
         )
-        residual = abs(_theta_end(prob, lam, rtol) - target)
-        if residual >= angle_tol:
-            scale = 1.0 + abs(lam)
-            for delta in (1e-14, 1e-12, 1e-10, 1e-9):
-                delta *= scale
-                if (
-                    _theta_end(prob, lam - delta, rtol) > target
-                    and _theta_end(prob, lam + delta, rtol) < target
-                ):
-                    break
-            else:
-                raise BracketError(
-                    f"eigenvalue {j} refined to residual {residual:.3e} >= "
-                    f"{angle_tol:.1e} without a pinched bracket"
-                )
-        out.append(lam)
-    return np.array(out)
+    return mids
 
 
 def conjugate_points(prob, lambda_star, rtol=1e-10):
@@ -208,7 +232,7 @@ def conjugate_points(prob, lambda_star, rtol=1e-10):
         level = j * np.pi
         above = np.nonzero(thetas >= level)[0]
         if len(above) == 0:
-            raise RuntimeError(f"lost crossing {j} on the sample grid")
+            raise SolverError(f"lost crossing {j} on the sample grid")
         k = above[0]
         x_lo = xs[k - 1] if k > 0 else xs[0]
         root = brentq(lambda x: traj.theta_at(x) - level, x_lo, xs[k], xtol=1e-13)
@@ -225,17 +249,16 @@ def eigenfunction_zero_count(prob, lambda_k, residual_tol=1e-6, rtol=1e-10):
     when the staircase drops through exactly one multiple of pi inside a
     tiny lambda window, and the zero count is the plateau level above.
     """
-    theta_end = _theta_end(prob, lambda_k, rtol)
+    theta_end = _theta_ends(prob, [lambda_k], rtol)[0]
     nearest = np.round(theta_end / np.pi)
     if abs(theta_end - nearest * np.pi) <= residual_tol and nearest >= 1:
         return int(nearest) - 1
-    scale = 1.0 + abs(lambda_k)
-    for delta in (1e-13, 1e-11, 1e-9):
-        delta *= scale
-        above = int(np.floor(_theta_end(prob, lambda_k + delta, rtol) / np.pi))
-        below = int(np.floor(_theta_end(prob, lambda_k - delta, rtol) / np.pi))
+    deltas = np.array([1e-13, 1e-11, 1e-9]) * (1.0 + abs(lambda_k))
+    ends = _theta_ends(prob, np.concatenate([lambda_k + deltas, lambda_k - deltas]), rtol)
+    levels = np.floor(ends / np.pi).astype(int)
+    for above, below in zip(levels[:3], levels[3:]):
         if below == above + 1 and above >= 0:
-            return above
+            return int(above)
     raise NotAnEigenvalueError(
         f"theta(b; {lambda_k!r}) = {theta_end:.12g} is not a positive "
         f"multiple of pi within {residual_tol:.1e} and no eigenvalue jump "

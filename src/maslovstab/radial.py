@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .errors import SolverError
+
 HARMONIC_LMAX = 8
 
 
@@ -165,7 +167,7 @@ def evolve_mode(d, l, init, tau_range=(0.0, 10.0), rtol=1e-12):
         dense_output=True,
     )
     if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
+        raise SolverError(f"mode integration failed: {sol.message}")
     taus = np.linspace(tau_range[0], tau_range[1], 257)
     states = sol.sol(taus)
     if kind == "stable":
@@ -200,7 +202,8 @@ def cylinder_spectrum(k_max):
     for k in range(k_max + 1):
         eigs = np.linalg.eigvals(np.array([[0.0, 1.0], [float(k * k), 0.0]]))
         for e in eigs:
-            assert abs(e.imag) < 1e-9
+            if abs(e.imag) >= 1e-9:
+                raise SolverError(f"mode {k} has a complex eigenvalue {e!r}")
             found.add(int(round(e.real)))
     return np.array(sorted(found))
 

@@ -1,6 +1,9 @@
 import csv
 import json
 
+import numpy as np
+import pytest
+
 from maslovstab.cli import main
 
 SECH_CONFIG = {
@@ -53,6 +56,41 @@ class TestBasics:
                            "--lambda-star", "1e-3", "--rtol", "1.0")
         assert code == 1
         assert "rtol" in err and "range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("prufer", "--lambda-star", "inf"),
+        ("conjugate", "--lambda-star", "nan"),
+        ("square", "--lambda-star=-inf"),
+        ("oracle", "--lambda-star", "nan"),
+        ("spectrum", "--truncation", "inf"),
+        ("evans", "--contour-radius", "inf"),
+        ("compare", "--epsilon-shift", "inf"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_input_exit_one(self, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, "--json-errors", command,
+                             "--model", "scalar_sech_pulse", *rest)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "CliUsageError"
+        assert "must be finite" in payload["message"]
+
+    def test_solver_failure_exit_one(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "prufer", "--model", "scalar_sech_pulse",
+                               "--lambda-star", "1e300")
+        assert code == 1
+        assert "angle integration failed" in err
+
+    @pytest.mark.parametrize("model", ["scalar_sech_pulse", "coupled_gradient_demo"])
+    def test_spectrum_omits_essential_spectrum(self, capsys, model):
+        # both models have essential spectrum (-inf, -1]; the truncated
+        # problem's box eigenvalues below -1 are not reported
+        code, out, _ = run(capsys, "spectrum", "--model", model, "--count", "6")
+        assert code == 0
+        vals = [float(v) for v in out.removeprefix("eigenvalues=").split(",")]
+        assert len(vals) == {"scalar_sech_pulse": 3, "coupled_gradient_demo": 4}[model]
+        assert min(vals) > -1.0
 
     def test_json_errors(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

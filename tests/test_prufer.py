@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from maslovstab import oracle
-from maslovstab.errors import BoundaryResonanceError, NotAnEigenvalueError
+from maslovstab import flow, oracle, prufer
+from maslovstab.errors import BoundaryResonanceError, NotAnEigenvalueError, SolverError
+from maslovstab.models import builtin
 from maslovstab.prufer import (
     ScalarProblem,
+    _theta_ends,
     conjugate_points,
     continuity_metric,
     count_eigenvalues_above,
@@ -21,6 +23,13 @@ def sech2_problem():
     return ScalarProblem(
         q=lambda x: 3.0 / np.cosh(x / 2.0) ** 2 - 1.0, interval=(-40.0, 40.0)
     )
+
+
+def cli_sech_problem():
+    """The sech pulse as `spectrum --model scalar_sech_pulse` poses it."""
+    model = builtin("scalar_sech_pulse")
+    L = flow.FlowOptions().resolve(model).truncation
+    return ScalarProblem(q=lambda x: float(model.q(x)[0, 0]), interval=(-L, L))
 
 
 class TestPruferFlow:
@@ -41,6 +50,48 @@ class TestPruferFlow:
     def test_angle_starts_at_zero(self):
         traj = prufer_flow(FREE, -3.0)
         assert traj.samples[0, 1] == 0.0
+
+    def test_failed_integration_is_a_solver_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="angle integration failed"):
+                prufer_flow(sech2_problem(), 1e300)
+
+
+class TestBatchedShots:
+    @pytest.mark.parametrize("prob,lams", [
+        (FREE, np.linspace(-12.0, 3.0, 31)),
+        # the window find_eigenvalues(sech2, 3) searches; the grid avoids the
+        # eigenvalue 0, where theta(b) on (-40, 40) jumps by pi within 1e-12
+        (sech2_problem(), np.linspace(-2.05, 2.95, 31)),
+    ], ids=["free", "sech2"])
+    def test_batch_matches_single_shots(self, prob, lams):
+        # one lambda's error must not hide under the batch's RMS error norm;
+        # the single shots run tighter, since at the batch's own rtol their
+        # global error on (-40, 40) is itself above 1e-9
+        ends = _theta_ends(prob, lams, 1e-11)
+        singles = [prufer_flow(prob, lam, rtol=1e-13).theta_end for lam in lams]
+        assert_allclose(ends, singles, rtol=0.0, atol=1e-9)
+        assert np.all(np.diff(ends) < 0.0)
+
+    def test_find_eigenvalues_work_budget(self, monkeypatch):
+        calls = []
+        real = prufer.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prufer, "solve_ivp", counting)
+        find_eigenvalues(sech2_problem(), 3)
+        assert len(calls) <= 25
+
+    def test_sech_pulse_matches_brentq_values(self):
+        # spectrum_sech.csv as serial brentq shooting computed it
+        vals = find_eigenvalues(cli_sech_problem(), 3)
+        assert_allclose(
+            vals, [1.250000000000834, -2.7781765712681628e-12, -0.7500000131649982],
+            rtol=0.0, atol=1e-10,
+        )
 
 
 class TestCountAbove:
