@@ -12,6 +12,9 @@ internal parallelism.
 
 conjugate, square, evans and compare evolve every frame through the one
 batched propagator ``flow.propagate``; oracle and prufer share no code with it.
+Artifacts reuse the computed answer: conjugate writes the path its points
+were counted on, evans the contour values its winding was read from, and
+oracle the discretization it counted on.
 """
 
 import argparse
@@ -44,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
 _OVERRIDE_RANGES = {
     # name: (lower, upper, inclusive-lower)
     "truncation": (0.0, float("inf"), False),
-    "rtol": (0.0, 1e-2, False),
+    # the floor keeps FlowOptions.refined()'s halved rtol above DOP853's
+    # 100 eps clamp
+    "rtol": (1e-13, 1e-2, True),
     "grid_step": (0.0, 0.05, False),
     "contour_radius": (0.0, float("inf"), False),
     "contour_samples": (8, 100_000, True),
@@ -205,10 +210,10 @@ def _cmd_spectrum(args):
 def _cmd_conjugate(args):
     model = _resolve_model(args)
     opts = _flow_options(args).resolve(model)
-    events = flow.detect_conjugate_points(model, args.lambda_star, opts)
+    events, path = flow._conjugate_points_and_path(model, args.lambda_star, opts)
     count = sum(e.multiplicity for e in events)
     if args.output:
-        path = flow.evolve_unstable_frame(model, args.lambda_star, opts)
+        path = flow._checked_path(*path)
         params = np.array([e.param for e in events]) if events else np.array([])
         rows = []
         for x, frame in path:
@@ -269,10 +274,9 @@ def _cmd_square(args):
 
 def _cmd_evans(args):
     model = _resolve_model(args)
-    opts = _flow_options(args)
+    opts = _flow_options(args).resolve(model)
     if args.contour_center is None or args.contour_radius is None:
-        lam_inf = flow.lambda_ceiling(model, args.epsilon_shift,
-                                      opts.resolve(model).truncation)
+        lam_inf = flow.lambda_ceiling(model, args.epsilon_shift, opts.truncation)
         contour = evans_mod.Contour.enclosing(args.epsilon_shift, lam_inf,
                                               samples=args.contour_samples)
     else:
@@ -281,11 +285,9 @@ def _cmd_evans(args):
             radius=args.contour_radius,
             samples=args.contour_samples,
         )
-    winding = evans_mod.winding_number(model, contour, opts)
+    winding, values = evans_mod._winding_and_values(model, contour, opts)
     if args.output:
-        resolved = opts.resolve(model)
         ts = evans_mod._contour_params(contour.samples)[:-1]
-        values = evans_mod._evans_values(model, contour.point(ts), resolved)
         rows = [
             (float(t), float(pt.real), float(pt.imag),
              float(v.real), float(v.imag))
@@ -362,11 +364,9 @@ def _cmd_radial(args):
 def _cmd_oracle(args):
     model = _resolve_model(args)
     opts = _flow_options(args).resolve(model)
-    count = oracle.oracle_count_above(
-        model, opts.truncation, args.grid_step, args.lambda_star
-    )
+    disc = oracle.discretize(model, opts.truncation, args.grid_step)
+    count = oracle._count_above(disc, opts.truncation, args.lambda_star)
     if args.output:
-        disc = oracle.discretize(model, opts.truncation, args.grid_step)
         top = oracle.eigenvalues(disc, k=args.count)
         if args.format == "json":
             _write_json(args.output, {

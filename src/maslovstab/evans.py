@@ -31,10 +31,10 @@ class Contour:
     samples: int = 256
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not self.radius > 0:
+            raise ContourError(f"contour radius {self.radius!r} must be positive")
         if self.samples < 8:
-            raise ValueError("need at least 8 contour samples")
+            raise ContourError("need at least 8 contour samples")
 
     @classmethod
     def enclosing(cls, lo, hi, samples=256):
@@ -104,17 +104,35 @@ def _contour_params(samples):
     return u - np.sin(4.0 * np.pi * u) / (4.0 * np.pi)
 
 
+def _base_values(model, contour, opts, x_match):
+    """Evans values at the contour's open base parameters, t = 1 excluded.
+
+    A contour centred on the real axis maps parameter index k to m - k
+    under complex conjugation.  Q is real, so E(conj lambda) = conj E(lambda)
+    and only indices 0 .. m//2 are integrated; the rest are mirrored.
+    """
+    m = contour.samples
+    pts = contour.point(_contour_params(m)[:-1])
+    if contour.center.imag != 0:
+        return _evans_values(model, pts, opts, x_match=x_match)
+    upper = _evans_values(model, pts[: m // 2 + 1], opts, x_match=x_match)
+    return np.concatenate([upper, np.conj(upper[1 : (m + 1) // 2][::-1])])
+
+
 def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
                             x_match):
-    """Evans values around the closed contour and the refinement rounds used.
+    """Evans values around the closed contour, a mask of the base samples
+    among them, and the refinement rounds used.
 
     Samples the contour, then inserts midpoints wherever consecutive phase
     steps reach pi/2, at most max_refine rounds.  Every round rejects a
     contour passing within the zero margin of an Evans zero.
     """
     validate_contour(model, contour)
-    ts = _contour_params(contour.samples)  # closed: t=1 repeats t=0
-    values = _evans_values(model, contour.point(ts % 1.0), opts, x_match=x_match)
+    ts = _contour_params(contour.samples)
+    base_values = _base_values(model, contour, opts, x_match)
+    values = np.append(base_values, base_values[0])  # closed: t=1 repeats t=0
+    base = np.arange(len(values)) < contour.samples
     rounds = 0
     while True:
         mags = np.abs(values)
@@ -126,7 +144,7 @@ def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
         diffs = _wrapped_diffs(np.angle(values))
         bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
         if len(bad) == 0:
-            return values, rounds
+            return values, base, rounds
         if rounds >= max_refine:
             raise PhaseStepError(
                 f"{len(bad)} phase steps still reach pi/2 after {max_refine} "
@@ -137,7 +155,27 @@ def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
                                  x_match=x_match)
         ts = np.insert(ts, bad + 1, mid_ts)
         values = np.insert(values, bad + 1, mid_vals)
+        base = np.insert(base, bad + 1, False)
         rounds += 1
+
+
+def _winding_and_values(model, contour, opts, zero_margin=ZERO_MARGIN,
+                        max_refine=3, x_match=0.0):
+    """Winding number and the Evans values at the m base samples.
+
+    ``opts`` must be resolved.  The final accumulated phase must sit within
+    0.1 of an integer multiple of 2 pi.
+    """
+    values, base, _ = _refined_contour_values(model, contour, opts, zero_margin,
+                                              max_refine, x_match)
+    total = float(np.sum(_wrapped_diffs(np.angle(values))))
+    winding = total / (2.0 * np.pi)
+    nearest = int(np.round(winding))
+    if abs(winding - nearest) >= 0.1:
+        raise PhaseStepError(
+            f"accumulated phase {winding:.4f} turns is not within 0.1 of an integer"
+        )
+    return nearest, values[base]
 
 
 def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
@@ -148,24 +186,15 @@ def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
     accumulated phase must sit within 0.1 of an integer multiple of 2 pi.
     """
     opts = (opts or flow.FlowOptions()).resolve(model)
-    values, _ = _refined_contour_values(model, contour, opts, zero_margin,
-                                        max_refine, x_match)
-    total = float(np.sum(_wrapped_diffs(np.angle(values))))
-    winding = total / (2.0 * np.pi)
-    nearest = int(np.round(winding))
-    if abs(winding - nearest) >= 0.1:
-        raise PhaseStepError(
-            f"accumulated phase {winding:.4f} turns is not within 0.1 of an integer"
-        )
-    return nearest
+    return _winding_and_values(model, contour, opts, zero_margin, max_refine,
+                               x_match)[0]
 
 
 def winding_refinement_rounds(model, contour, opts=None, x_match=0.0):
     """Number of midpoint-insertion rounds the winding computation needs."""
     opts = (opts or flow.FlowOptions()).resolve(model)
-    _, rounds = _refined_contour_values(model, contour, opts, ZERO_MARGIN, 10,
-                                        x_match)
-    return rounds
+    return _refined_contour_values(model, contour, opts, ZERO_MARGIN, 10,
+                                   x_match)[2]
 
 
 def compare_counts(model, opts=None, epsilon_shift=1e-3, contour=None,

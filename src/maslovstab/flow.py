@@ -40,6 +40,8 @@ from .models import check_essential_stability
 from .symplectic import CrossingEvent, LagrangianFrame
 
 TRUNCATION_ADEQUACY = 1e-8
+# recorded frames along one path; default runs record a few hundred
+MAX_PATH_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,11 @@ def _sample_grid(model, lambda_, opts):
         bound = max(bound, row_sum + abs(lambda_))
     step = min(opts.sample_dx, 0.7 / (2.0 * bound))
     n_seg = max(1, int(math.ceil(2.0 * L / opts.renorm_every)))
+    if 2.0 * L > MAX_PATH_SAMPLES * step:
+        raise OptionsError(
+            f"lambda = {lambda_!r} on [-{L}, {L}] needs more than "
+            f"{MAX_PATH_SAMPLES} path samples"
+        )
     edges = np.linspace(-L, L, n_seg + 1)
     xs = [edges[0]]
     for x0, x1 in zip(edges[:-1], edges[1:]):
@@ -280,7 +287,11 @@ def evolve_unstable_frame(model, lambda_, opts=None):
     tolerance anywhere along the path.
     """
     opts = (opts or FlowOptions()).resolve(model)
-    xs, frames = _unstable_path(model, lambda_, opts)
+    return _checked_path(*_unstable_path(model, lambda_, opts))
+
+
+def _checked_path(xs, frames):
+    """(x, LagrangianFrame) pairs of a sampled path, drift-checked."""
     out = [(float(x), LagrangianFrame.from_stacked(m)) for x, m in zip(xs, frames)]
     drifts = [symplectic.check_lagrangian(f).asymmetry for _, f in out]
     k = int(np.argmax(drifts))
@@ -352,7 +363,7 @@ def _detect_events(model, lambda_star, opts):
             merged.append(ev)
     det_changes = _det_a_sign_changes(frames, n)
     odd_events = sum(1 for e in merged if e.multiplicity % 2 == 1)
-    return tuple(merged), det_changes, odd_events
+    return tuple(merged), det_changes, odd_events, (xs, frames)
 
 
 def detect_conjugate_points(model, lambda_star, opts=None):
@@ -365,9 +376,18 @@ def detect_conjugate_points(model, lambda_star, opts=None):
     halved tolerances, then aborts.
     """
     opts = (opts or FlowOptions()).resolve(model)
-    events, det_changes, odd_events = _detect_events(model, lambda_star, opts)
+    return _conjugate_points_and_path(model, lambda_star, opts)[0]
+
+
+def _conjugate_points_and_path(model, lambda_star, opts):
+    """Conjugate points and the (xs, frames) path of the first attempt.
+
+    ``opts`` must be resolved.  The path is the one ``_unstable_path``
+    records at ``opts``, also when the detection is retried.
+    """
+    events, det_changes, odd_events, path = _detect_events(model, lambda_star, opts)
     if det_changes != odd_events:
-        events, det_changes, odd_events = _detect_events(
+        events, det_changes, odd_events, _ = _detect_events(
             model, lambda_star, opts.refined()
         )
         if det_changes != odd_events:
@@ -375,7 +395,7 @@ def detect_conjugate_points(model, lambda_star, opts=None):
                 f"det(a) sign changes ({det_changes}) disagree with refined "
                 f"w-eigenvalue crossings ({odd_events}) at lambda = {lambda_star!r}"
             )
-    return events
+    return events, path
 
 
 def lambda_max_bound(model, truncation=None, n_samples=4001):

@@ -183,8 +183,18 @@ def oracle_count_above(model, L, h, lambda_star, mass_fraction=0.5,
     Eigenvalues whose eigenvector mass inside [-L/2, L/2] is below
     mass_fraction are discarded as boundary artifacts.
     """
-    disc = discretize(model, L, h)
+    return _count_above(discretize(model, L, h), L, lambda_star, mass_fraction,
+                        separation_scale)
+
+
+def _count_above(disc, L, lambda_star, mass_fraction=0.5, separation_scale=0.1):
+    """``oracle_count_above`` on a given discretization of [-L, L]."""
     gap = 10.0 * disc.h**2 * separation_scale
+    if not lambda_star - gap < lambda_star < lambda_star + gap:
+        raise SeparationError(
+            f"lambda_star = {lambda_star!r} leaves no room in floating point "
+            f"for the separation gap {gap:.3e}"
+        )
     nearby = eigvals_banded(
         disc.band, lower=True, select="v",
         select_range=(lambda_star - gap, lambda_star + gap),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from maslovstab.cli import main
+from maslovstab.models import builtin
 
 SECH_CONFIG = {
     "n": 1,
@@ -81,6 +82,27 @@ class TestBasics:
                                "--lambda-star", "1e300")
         assert code == 1
         assert "angle integration failed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("conjugate", "--lambda-star", "1e300"),
+        ("square", "--lambda-star", "1e300"),
+        ("evans", "--epsilon-shift", "1e300"),
+        ("compare", "--epsilon-shift", "1e300"),
+        ("oracle", "--lambda-star", "1e300"),
+        ("conjugate", "--lambda-star", "1e-3", "--rtol", "1e-300"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_extreme_finite_input_exit_one(self, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--model", "scalar_sech_pulse", *rest)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        code, out, err = run(capsys, "--json-errors", command,
+                             "--model", "scalar_sech_pulse", *rest)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] in (
+            "OptionsError", "ContourError", "SeparationError", "CliUsageError",
+        )
 
     @pytest.mark.parametrize("model", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_spectrum_omits_essential_spectrum(self, capsys, model):
@@ -180,6 +202,82 @@ class TestArtifacts:
         assert payload["cylinder_spectrum"] == list(range(-5, 6))
         assert abs(payload["fitted_rates"]["unstable"] - 2.0) < 1e-3
         assert abs(payload["fitted_rates"]["stable"] + 3.0) < 1e-3
+
+
+class TestWorkBudget:
+    """Each command computes its answer once and writes the artifact from it."""
+
+    def test_evans_integrates_the_upper_half_once(self, capsys, tmp_path,
+                                                   monkeypatch):
+        from maslovstab import flow
+
+        sizes = []
+        determinant = flow.evans_determinant
+
+        def counting(model, lams, opts, x_match):
+            sizes.append(len(lams))
+            return determinant(model, lams, opts, x_match)
+
+        monkeypatch.setattr(flow, "evans_determinant", counting)
+        code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
+                           "--contour-center", "1.25", "0", "--contour-radius", "0.5",
+                           "--contour-samples", "64",
+                           "--output", str(tmp_path / "evans.csv"))
+        assert (code, out) == (0, "winding=1")
+        assert sizes == [64 // 2 + 1]
+
+    def test_refined_evans_csv_keeps_the_base_samples(self, capsys, tmp_path):
+        from maslovstab import evans
+
+        contour = evans.Contour(center=1.25, radius=0.5, samples=12)
+        assert evans.winding_refinement_rounds(
+            builtin("scalar_sech_pulse"), contour) > 0
+        out_file = tmp_path / "evans.csv"
+        code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
+                           "--contour-center", "1.25", "0", "--contour-radius", "0.5",
+                           "--contour-samples", "12", "--output", str(out_file))
+        assert (code, out) == (0, "winding=1")
+        with open(out_file) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == [
+            format(t, ".17g") for t in evans._contour_params(12)[:-1]
+        ]
+
+    def test_conjugate_propagates_the_path_once(self, capsys, tmp_path,
+                                                monkeypatch):
+        from maslovstab import flow
+
+        starts = []
+        propagate = flow.propagate
+
+        def counting(model, lams, frames, xs, opts):
+            starts.append((float(xs[0]), float(xs[-1])))
+            return propagate(model, lams, frames, xs, opts)
+
+        monkeypatch.setattr(flow, "propagate", counting)
+        code, out, _ = run(capsys, "conjugate", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3",
+                           "--output", str(tmp_path / "conjugate.csv"))
+        assert (code, out) == (0, "conjugate_points=1")
+        L = flow.FlowOptions().resolve(builtin("scalar_sech_pulse")).truncation
+        assert [span for span in starts if span[0] == -L] == [(-L, L)]
+
+    def test_oracle_discretizes_once(self, capsys, tmp_path, monkeypatch):
+        from maslovstab import oracle
+
+        calls = []
+        discretize = oracle.discretize
+
+        def counting(*args):
+            calls.append(args)
+            return discretize(*args)
+
+        monkeypatch.setattr(oracle, "discretize", counting)
+        code, out, _ = run(capsys, "oracle", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3",
+                           "--output", str(tmp_path / "oracle.csv"))
+        assert (code, out) == (0, "count=1")
+        assert len(calls) == 1
 
 
 class TestGolden:

@@ -71,6 +71,42 @@ class TestWinding:
         assert rounds <= 3
 
 
+class TestSymmetricContour:
+    @pytest.mark.parametrize("samples", [64, 65])
+    @pytest.mark.parametrize("model", [SECH, DEMO], ids=["sech", "demo"])
+    def test_mirrored_values_match_direct_integration(self, model, samples):
+        opts = flow.FlowOptions().resolve(model)
+        top = flow.lambda_ceiling(model, 1e-3, opts.truncation)
+        contour = Contour.enclosing(1e-3, top, samples=samples)
+        values = evans._base_values(model, contour, opts, 0.0)
+        assert len(values) == samples
+        lower = np.arange(samples // 2 + 1, samples)
+        pts = contour.point(evans._contour_params(samples)[lower])
+        assert np.all(pts.imag < 0)
+        direct = evans._evans_values(model, pts, opts)
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(values[lower] - direct)) <= 1e-8 * scale
+
+    def test_off_axis_contour_takes_the_full_path(self, monkeypatch):
+        sizes = []
+        determinant = flow.evans_determinant
+
+        def counting(model, lams, opts, x_match):
+            sizes.append(len(lams))
+            return determinant(model, lams, opts, x_match)
+
+        monkeypatch.setattr(flow, "evans_determinant", counting)
+        contour = Contour(center=1.25 + 0.1j, radius=0.5)
+        assert winding_number(SECH, contour) == 1
+        assert sizes == [contour.samples]
+
+    def test_degenerate_contour_is_a_contour_error(self):
+        with pytest.raises(ContourError):
+            Contour(center=1.0, radius=0.0)
+        with pytest.raises(ContourError):
+            Contour(center=1.0, radius=0.5, samples=4)
+
+
 class TestCompareCounts:
     def test_sech(self):
         rep = compare_counts(SECH)
