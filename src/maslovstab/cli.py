@@ -365,7 +365,7 @@ def _cmd_oracle(args):
     model = _resolve_model(args)
     opts = _flow_options(args).resolve(model)
     disc = oracle.discretize(model, opts.truncation, args.grid_step)
-    count = oracle._count_above(disc, opts.truncation, args.lambda_star)
+    count = oracle._count_above(model, disc, args.lambda_star)
     if args.output:
         top = oracle.eigenvalues(disc, k=args.count)
         if args.format == "json":

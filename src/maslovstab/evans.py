@@ -164,7 +164,7 @@ def _winding_and_values(model, contour, opts, zero_margin=ZERO_MARGIN,
     """Winding number and the Evans values at the m base samples.
 
     ``opts`` must be resolved.  The final accumulated phase must sit within
-    0.1 of an integer multiple of 2 pi.
+    0.1 of a nonnegative integer multiple of 2 pi.
     """
     values, base, _ = _refined_contour_values(model, contour, opts, zero_margin,
                                               max_refine, x_match)
@@ -175,6 +175,12 @@ def _winding_and_values(model, contour, opts, zero_margin=ZERO_MARGIN,
         raise PhaseStepError(
             f"accumulated phase {winding:.4f} turns is not within 0.1 of an integer"
         )
+    # E is analytic inside a contour that avoids the essential spectrum, so
+    # its winding counts zeros; a negative one is an undersampled contour
+    if nearest < 0:
+        raise PhaseStepError(
+            f"winding {nearest} is negative: the contour is undersampled"
+        )
     return nearest, values[base]
 
 
@@ -183,7 +189,8 @@ def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
     """Winding of the Evans value around a contour = enclosed eigenvalue count.
 
     The phase is sampled as in ``_refined_contour_values``; the final
-    accumulated phase must sit within 0.1 of an integer multiple of 2 pi.
+    accumulated phase must sit within 0.1 of a nonnegative integer multiple
+    of 2 pi.
     """
     opts = (opts or flow.FlowOptions()).resolve(model)
     return _winding_and_values(model, contour, opts, zero_margin, max_refine,

@@ -1,19 +1,21 @@
-"""Brute-force ground truth: dense finite-difference eigensolves.
+"""Brute-force ground truth: banded finite-difference eigensolves.
 
 The operator d^2/dx^2 + Q(x) is discretized on a uniform grid over [-L, L]
 with Dirichlet truncation and the [1, -2, 1]/h^2 stencil, giving a symmetric
-block-tridiagonal matrix stored in banded form.  Eigenvalues come from the
-LAPACK-backed banded symmetric solver; an independently written
-Householder-tridiagonalization + Sturm-sequence bisection solver provides
-the cross-check route for the accuracy contract.
+block-tridiagonal matrix stored in banded form.  A count above lambda_star
+is one LAPACK banded eigensolve; lambda_star must lie above the essential
+spectrum, where the truncation creates no boundary modes.  An independently
+written Householder-tridiagonalization + Sturm-sequence bisection solver is
+the reference the tests compare the LAPACK results against.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals_banded, solve_banded
+from scipy.linalg import eigvals_banded
 
-from .errors import DiscretizationError, SeparationError
+from .errors import DiscretizationError, NonHyperbolicError, SeparationError
+from .models import check_essential_stability
 
 MAX_UNKNOWNS = 20_000
 MAX_STEP = 0.05
@@ -68,13 +70,15 @@ def discretize_interval(q, a, b, h, n=1):
     """FD discretization of d^2/dx^2 + q(x) on (a, b), Dirichlet ends."""
     if h > MAX_STEP:
         raise DiscretizationError(f"step {h} exceeds the bound {MAX_STEP}")
-    npt = int(round((b - a) / h)) - 1
+    # a float until bounded: (b - a) / h may overflow to inf
+    npt = float(np.rint((b - a) / h)) - 1.0
     if npt < 2:
         raise DiscretizationError("interval too short for the requested step")
-    if n * npt > MAX_UNKNOWNS:
+    if not n * npt <= MAX_UNKNOWNS:
         raise DiscretizationError(
-            f"{n * npt} unknowns exceed the memory bound {MAX_UNKNOWNS}"
+            f"{n * npt:.6g} unknowns exceed the memory bound {MAX_UNKNOWNS}"
         )
+    npt = int(npt)
     h_eff = (b - a) / (npt + 1)
     xs = a + h_eff * np.arange(1, npt + 1)
     return Discretization(grid=xs, h=h_eff, n=n, band=_build_band(q, xs, h_eff, n))
@@ -105,115 +109,47 @@ def _gershgorin_upper(disc):
     return float(np.max(disc.band[0]) + 2.0 * np.sum(np.abs(disc.band[1:]), axis=0).max())
 
 
-def _band_matvec(band, v):
-    out = band[0] * v
-    for off in range(1, band.shape[0]):
-        diag = band[off, : len(v) - off]
-        out[off:] += diag * v[:-off]
-        out[:-off] += diag * v[off:]
-    return out
+def oracle_count_above(model, L, h, lambda_star):
+    """Count the eigenvalues of the FD matrix above lambda_star.
 
-
-def _general_banded(band, shift):
-    """Convert symmetric lower-banded storage to solve_banded layout."""
-    width = band.shape[0] - 1
-    size = band.shape[1]
-    ab = np.zeros((2 * width + 1, size))
-    ab[width, :] = band[0, :] - shift
-    for off in range(1, width + 1):
-        ab[width + off, : size - off] = band[off, : size - off]
-        ab[width - off, off:] = band[off, : size - off]
-    return ab
-
-
-def _inverse_iteration(band, value, iterations=3):
-    """Eigenvector for an eigenvalue already known to LAPACK accuracy.
-
-    The start vector is pseudo-random with a fixed seed: deterministic,
-    and generic with respect to the parity symmetries of wave problems
-    (a symmetric start would be orthogonal to odd eigenfunctions).
+    lambda_star must lie above the essential spectrum, where Dirichlet
+    truncation creates no boundary modes, and keep a distance > h^2 from
+    every discrete eigenvalue (the FD eigenvalue error is O(h^2)).
     """
-    width = band.shape[0] - 1
-    size = band.shape[1]
-    scale = float(np.max(np.abs(band)))
-    ab = _general_banded(band, value + 1e-10 * scale)
-    v = np.random.default_rng(987654321).standard_normal(size)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        v = solve_banded((width, width), ab, v)
-        v /= np.linalg.norm(v)
-    return v
+    return _count_above(model, discretize(model, L, h), lambda_star)
 
 
-def eigenpairs_above(disc, lambda_star):
-    """Eigenvalues above lambda_star with their eigenvectors (ascending).
-
-    Eigenvalues come from the banded LAPACK solver; vectors from banded
-    inverse iteration at those values (deterministic start vector).
-    """
-    # spectra of d^2/dx^2 + Q lie below max Q; keep the range ordered even
-    # when lambda_star already exceeds that bound (the result is then empty)
-    upper = max(_gershgorin_upper(disc) + 1.0, lambda_star + 1.0)
-    vals = eigvals_banded(
-        disc.band, lower=True, select="v", select_range=(lambda_star, upper)
-    )
-    if len(vals) == 0:
-        return vals, np.zeros((disc.size, 0))
-    vecs = np.column_stack([_inverse_iteration(disc.band, v) for v in vals])
-    return vals, vecs
-
-
-def _interior_mass_fraction(disc, vec, half_width):
-    weights = vec.reshape(-1, disc.n)
-    mass = np.sum(weights**2, axis=1)
-    total = mass.sum()
-    if total == 0.0:
-        return 0.0
-    inside = np.abs(disc.grid) <= half_width
-    return float(mass[inside].sum() / total)
-
-
-def oracle_count_above(model, L, h, lambda_star, mass_fraction=0.5,
-                       separation_scale=0.1):
-    """Count discrete eigenvalues above lambda_star.
-
-    Requires lambda_star to keep a distance > 10 h^2 * separation_scale from
-    every discrete eigenvalue (the FD eigenvalue error is O(h^2); the scale
-    defaults to a conservative error constant for smooth potentials).
-    Eigenvalues whose eigenvector mass inside [-L/2, L/2] is below
-    mass_fraction are discarded as boundary artifacts.
-    """
-    return _count_above(discretize(model, L, h), L, lambda_star, mass_fraction,
-                        separation_scale)
-
-
-def _count_above(disc, L, lambda_star, mass_fraction=0.5, separation_scale=0.1):
-    """``oracle_count_above`` on a given discretization of [-L, L]."""
-    gap = 10.0 * disc.h**2 * separation_scale
+def _count_above(model, disc, lambda_star):
+    """``oracle_count_above`` on a given discretization of ``model``."""
+    edge = check_essential_stability(model).max_eig_qinf
+    if not lambda_star > edge:
+        raise NonHyperbolicError(
+            f"lambda_star = {lambda_star!r} is not above the essential "
+            f"spectrum (-inf, {edge:.9g}]"
+        )
+    gap = disc.h**2
     if not lambda_star - gap < lambda_star < lambda_star + gap:
         raise SeparationError(
             f"lambda_star = {lambda_star!r} leaves no room in floating point "
             f"for the separation gap {gap:.3e}"
         )
-    nearby = eigvals_banded(
+    # one solve returns every eigenvalue that is counted or too close; the
+    # range stays ordered when lambda_star exceeds the Gershgorin bound
+    upper = max(_gershgorin_upper(disc), lambda_star) + 1.0
+    vals = eigvals_banded(
         disc.band, lower=True, select="v",
-        select_range=(lambda_star - gap, lambda_star + gap),
+        select_range=(lambda_star - gap, upper),
     )
-    if len(nearby) > 0:
+    if len(vals) > 0 and vals[0] <= lambda_star + gap:
         raise SeparationError(
-            f"eigenvalue {nearby[0]:.9g} lies within {gap:.3e} of "
+            f"eigenvalue {vals[0]:.9g} lies within {gap:.3e} of "
             f"lambda_star = {lambda_star!r}"
         )
-    vals, vecs = eigenpairs_above(disc, lambda_star)
-    count = 0
-    for j in range(len(vals)):
-        if _interior_mass_fraction(disc, vecs[:, j], L / 2.0) > mass_fraction:
-            count += 1
-    return count
+    return len(vals)
 
 
 def scalar_count_above(q, a, b, h, lambda_star):
-    """Interval-problem variant of the count (no boundary-mass filter)."""
+    """Interval-problem variant of the count."""
     disc = discretize_interval(q, a, b, h, n=1)
     vals = eigenvalues(disc)
     return int(np.sum(vals > lambda_star))
@@ -221,7 +157,7 @@ def scalar_count_above(q, a, b, h, lambda_star):
 
 # ---------------------------------------------------------------------------
 # Independent route: Householder tridiagonalization + Sturm-sequence bisection.
-# Deliberately avoids the LAPACK eigensolvers so it can arbitrate them.
+# Deliberately avoids LAPACK, so tests can check the LAPACK results against it.
 
 def householder_tridiagonal(m):
     """Reduce a symmetric matrix to tridiagonal form; returns (diag, subdiag)."""

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovstab.cli import main
 from maslovstab.models import builtin
@@ -90,6 +96,8 @@ class TestBasics:
         ("compare", "--epsilon-shift", "1e300"),
         ("oracle", "--lambda-star", "1e300"),
         ("conjugate", "--lambda-star", "1e-3", "--rtol", "1e-300"),
+        ("oracle", "--lambda-star", "1e-3", "--grid-step", "1e-300",
+         "--truncation", "1e300"),
     ], ids=lambda argv: " ".join(argv))
     def test_extreme_finite_input_exit_one(self, capsys, argv):
         command, *rest = argv
@@ -102,7 +110,24 @@ class TestBasics:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] in (
             "OptionsError", "ContourError", "SeparationError", "CliUsageError",
+            "DiscretizationError",
         )
+
+    @pytest.mark.parametrize("argv", [
+        ("scalar_sech_pulse", "--contour-center", "1.25", "0",
+         "--contour-radius", "0.5", "--contour-samples", "8"),
+        ("allen_cahn_front", "--contour-samples", "11"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_negative_winding_exit_one(self, capsys, argv):
+        # both contours are undersampled and wind -1 and -2 turns
+        model, *rest = argv
+        code, out, err = run(capsys, "--json-errors", "evans", "--model", model,
+                             *rest)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "PhaseStepError"
+        assert "negative" in payload["message"]
 
     @pytest.mark.parametrize("model", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_spectrum_omits_essential_spectrum(self, capsys, model):
@@ -278,6 +303,47 @@ class TestWorkBudget:
                            "--output", str(tmp_path / "oracle.csv"))
         assert (code, out) == (0, "count=1")
         assert len(calls) == 1
+
+
+def _finite_floats(lo, hi):
+    """Mostly plausible values in [lo, hi], sometimes any finite float."""
+    return st.one_of(st.floats(lo, hi),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestOracleArgvProperty:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        model=st.sampled_from(["scalar_sech_pulse", "allen_cahn_front",
+                               "coupled_gradient_demo"]),
+        lambda_star=_finite_floats(-1.0, 2.0),
+        grid_step=st.none() | _finite_floats(0.01, 0.05),
+        truncation=st.none() | _finite_floats(10.0, 60.0),
+        count=st.none() | st.integers(1, 50) | st.integers(),
+        output=st.sampled_from([None, "csv", "json"]),
+    )
+    def test_exit_code_and_streams(self, model, lambda_star, grid_step,
+                                   truncation, count, output):
+        argv = ["--json-errors", "oracle", "--model", model,
+                f"--lambda-star={lambda_star!r}"]
+        for flag, value in (("--grid-step", grid_step),
+                            ("--truncation", truncation), ("--count", count)):
+            if value is not None:
+                argv.append(f"{flag}={value!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if output is not None:
+                argv += ["--format", output, "--output", f"{tmp}/oracle.{output}"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1)
+        if code == 0:
+            assert re.fullmatch(r"count=\d+\n", out.getvalue())
+            assert err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert set(json.loads(line)) >= {"error", "message"}
 
 
 class TestGolden:

@@ -1,11 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
+import zoo
 from maslovstab import oracle
-from maslovstab.errors import DiscretizationError, SeparationError
-from maslovstab.models import builtin
+from maslovstab.cli import main
+from maslovstab.errors import (
+    DiscretizationError,
+    NonHyperbolicError,
+    SeparationError,
+)
+from maslovstab.models import builtin, check_essential_stability
 
 
 class TestDiscretize:
@@ -69,6 +78,84 @@ class TestCounts:
         # -0.75 is an exact eigenvalue of the sech pulse
         with pytest.raises(SeparationError):
             oracle.oracle_count_above(builtin("scalar_sech_pulse"), 40.0, 0.02, -0.75)
+
+
+def _small_cases():
+    """(model, L) pairs whose h = 0.05 matrices the dense reference can take."""
+    rng = np.random.default_rng(1)  # draws bumps with n = 1, 1, 2
+    bumps = [(zoo.random_bump_model(rng), 8.0) for _ in range(3)]
+    assert [m.n for m, _ in bumps] == [1, 1, 2]
+    return [(builtin("scalar_sech_pulse"), 15.0),
+            (builtin("allen_cahn_front"), 10.0)] + bumps
+
+
+class TestIndependentReference:
+    H = 0.05
+
+    @pytest.mark.parametrize("case", range(5), ids=[
+        "sech", "front", "bump_n1_a", "bump_n1_b", "bump_n2"])
+    def test_count_matches_sturm_and_full_spectrum(self, case):
+        model, L = _small_cases()[case]
+        disc = oracle.discretize(model, L, self.H)
+        reference = oracle.charpoly_bisection_eigenvalues(disc.dense())
+        full = oracle.eigenvalues(disc)
+        assert_allclose(np.sort(full), reference, atol=1e-8 * np.max(np.abs(full)))
+        # every gap above the essential spectrum, wide enough for the
+        # separation rule, gets a lambda_star at its midpoint
+        edge = check_essential_stability(model).max_eig_qinf
+        levels = np.concatenate([[edge], reference[reference > edge],
+                                 [reference[-1] + 1.0]])
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        lambda_stars = mids[np.diff(levels) > 4.0 * self.H**2]
+        assert len(lambda_stars) >= 2
+        for lam in lambda_stars:
+            count = oracle.oracle_count_above(model, L, self.H, lam)
+            assert count == np.sum(reference > lam) == np.sum(full > lam)
+
+
+class TestSingleEigensolve:
+    def test_one_eigvals_banded_call_and_no_solve_banded(self, monkeypatch):
+        calls = []
+        eigvals_banded = oracle.eigvals_banded
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("select"))
+            return eigvals_banded(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_banded called")
+
+        monkeypatch.setattr(oracle, "eigvals_banded", counting)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)
+        assert not hasattr(oracle, "solve_banded")
+        for name, lam, expected in (("scalar_sech_pulse", 1e-3, 1),
+                                    ("coupled_gradient_demo", -0.5, 3)):
+            calls.clear()
+            assert oracle.oracle_count_above(builtin(name), 40.0, 0.02, lam) == expected
+            assert calls == ["v"]
+
+
+class TestEssentialSpectrumRule:
+    CASES = [
+        ("scalar_sech_pulse", -1.0),
+        ("scalar_sech_pulse", -1.5),
+        ("scalar_sech_pulse", -3.0),
+        ("coupled_gradient_demo", -1.2),
+    ]
+
+    @pytest.mark.parametrize("name,lambda_star", CASES)
+    def test_library_raises(self, name, lambda_star):
+        with pytest.raises(NonHyperbolicError):
+            oracle.oracle_count_above(builtin(name), 40.0, 0.02, lambda_star)
+
+    @pytest.mark.parametrize("name,lambda_star", CASES)
+    def test_cli_exit_one(self, capsys, name, lambda_star):
+        code = main(["--json-errors", "oracle", "--model", name,
+                     f"--lambda-star={lambda_star!r}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "NonHyperbolicError"
 
 
 class TestRichardson:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eig_banded
 
 from maslovstab import flow, oracle, prufer
 from maslovstab.errors import BoundaryResonanceError, NotAnEigenvalueError, SolverError
@@ -155,9 +156,10 @@ class TestZeroCounts:
         prob = sech2_problem()
         lam1 = find_eigenvalues(prob, 2)[1]
         assert eigenfunction_zero_count(prob, lam1, residual_tol=1e-5) == 1
-        # agree with the sign changes of the fd_oracle eigenvector
+        # agree with the sign changes of the fd_oracle matrix's eigenvector
         disc = oracle.discretize_interval(prob.q, -40.0, 40.0, 0.02)
-        vals, vecs = oracle.eigenpairs_above(disc, -0.5)
+        vals, vecs = eig_banded(disc.band, lower=True, select="v",
+                                select_range=(-0.5, 10.0))
         vec = vecs[:, -2]  # second-from-top eigenvalue ~ 0
         interior = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))]
         sign_changes = int(np.sum(interior[:-1] * interior[1:] < 0))
