@@ -22,7 +22,7 @@ of individual columns from destroying the plane.
 
 import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,7 +51,6 @@ class FlowOptions:
     truncation: float = None     # half-width L of the computational domain
     rtol: float = 1e-8
     renorm_every: float = 1.0    # x-distance between re-orthonormalizations
-    crossing_tol: float = 1e-8
     sample_dx: float = 0.1       # spacing of recorded frames
 
     def resolve(self, model):
@@ -64,22 +63,11 @@ class FlowOptions:
                 f"truncation L = {L} leaves tail weight "
                 f"{math.exp(-model.decay_rate * L):.2e} >= {TRUNCATION_ADEQUACY:.0e}"
             )
-        return FlowOptions(
-            truncation=float(L),
-            rtol=self.rtol,
-            renorm_every=self.renorm_every,
-            crossing_tol=self.crossing_tol,
-            sample_dx=self.sample_dx,
-        )
+        return replace(self, truncation=float(L))
 
     def refined(self):
-        return FlowOptions(
-            truncation=self.truncation,
-            rtol=self.rtol * 0.5,
-            renorm_every=self.renorm_every * 0.5,
-            crossing_tol=self.crossing_tol,
-            sample_dx=self.sample_dx * 0.5,
-        )
+        return replace(self, rtol=self.rtol * 0.5, renorm_every=self.renorm_every * 0.5,
+                       sample_dx=self.sample_dx * 0.5)
 
 
 @dataclass(frozen=True)
@@ -335,11 +323,9 @@ def _det_a_sign_changes(frames, n):
 
 
 def _detect_events(model, lambda_star, opts):
-    n = model.n
     xs, frames = _unstable_path(model, lambda_star, opts)
     result = symplectic.path_maslov_index(
-        [LagrangianFrame.from_stacked(m) for m in frames], xs,
-        crossing_tol=opts.crossing_tol,
+        [LagrangianFrame.from_stacked(m) for m in frames], xs
     )
     span = xs[-1] - xs[0]
     xtol = max(1e-12 * span, 1e-13)
@@ -350,18 +336,8 @@ def _detect_events(model, lambda_star, opts):
         x_star = _refine_crossing(model, lambda_star, xs[k], frames[k], xs[k + 1],
                                   xtol, opts)
         refined.append(CrossingEvent(float(x_star), ev.multiplicity, ev.direction))
-    refined.sort(key=lambda e: e.param)
-    merged = []
-    for ev in refined:
-        if merged and ev.direction == merged[-1].direction and (
-            abs(ev.param - merged[-1].param) <= 1e-7 * max(span, 1.0)
-        ):
-            prev = merged[-1]
-            merged[-1] = CrossingEvent(prev.param, prev.multiplicity + ev.multiplicity,
-                                       prev.direction)
-        else:
-            merged.append(ev)
-    det_changes = _det_a_sign_changes(frames, n)
+    merged = symplectic._merge_events(refined, span, merge_tol=1e-7)
+    det_changes = _det_a_sign_changes(frames, model.n)
     odd_events = sum(1 for e in merged if e.multiplicity % 2 == 1)
     return tuple(merged), det_changes, odd_events, (xs, frames)
 
@@ -486,10 +462,12 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     transversally at the same lambda and is the computable surrogate.  Each
     sign change yields one event; its direction is the sign of the monotone
     phase drift of the eigenvalue nearest -1 across the bracketing interval
-    (eigenvalue crossings come out -1, opposite to conjugate points).
+    (eigenvalue crossings come out -1, opposite to conjugate points).  A
+    near-zero dip without a sign change doubles the grid, at most twice; a
+    dip that survives the last doubling raises CountMismatchError.
     """
     k_grid = 129
-    for round_ in range(3):
+    for _ in range(3):
         lams = np.linspace(lambda_star, lambda_inf, k_grid)
         evans, frames_l = evans_determinant(model, lams, opts, opts.truncation)
         scale = np.max(np.abs(evans))
@@ -504,7 +482,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
             and abs(evans[j]) <= abs(evans[j + 1])
             and j not in changes and j - 1 not in changes
         ]
-        if dips and round_ < 2:
+        if dips:
             k_grid = 2 * k_grid - 1
             continue
         roots = _interpolated_evans_roots(model, lams, changes, opts)

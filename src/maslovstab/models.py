@@ -15,6 +15,7 @@ Built-in models:
                           (decoupled, so its spectrum is the union of theirs)
 """
 
+import ast
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def check_decay(model, x_max=None):
 
     r_mid, r_far = residual(x_mid), residual(x_max)
     bound = 10.0 * r_mid * np.exp(-rate * (x_max - x_mid)) + 1e-12
-    if r_far > bound:
+    if not r_far <= bound:
         raise ModelValidationError(
             f"potential tail {r_far:.3e} at |x| = {x_max:.3g} exceeds the "
             f"declared decay-rate bound {bound:.3e}"
@@ -128,6 +129,8 @@ def validate_model(model, x_check=20.0, samples=201):
             raise ModelValidationError(
                 f"potential returns shape {qx.shape} at x = {x:.3g}"
             )
+        if not np.all(np.isfinite(qx)):
+            raise ModelValidationError(f"potential is not finite at x = {x:.3g}")
         if np.max(np.abs(qx - qx.T)) > 1e-12:
             raise ModelValidationError(f"potential asymmetric at x = {x:.3g}")
     check_decay(model)
@@ -286,25 +289,61 @@ _CONFIG_KEYS = {
 }
 
 
-def _expression_callable(entries, n, field):
-    import sympy
+# Expression entries are data, not code: numbers or strings in _GRAMMAR,
+# compiled per table with float64 constants and no builtins, so evaluation
+# follows numpy float semantics (overflow gives inf, 0/0 nan).
+MAX_ENTRY_CHARS = 1000
+_FUNCTIONS = dict(((name, getattr(np, name)) for name in
+                   ("exp", "log", "sqrt", "abs", "sin", "cos", "sinh", "cosh", "tanh")),
+                  sech=_sech)
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_GRAMMAR = ("allowed are numbers, x, + - * / ** (powers are **, not ^), unary + -, "
+            f"parentheses and one-argument calls of {', '.join(_FUNCTIONS)}")
 
-    x = sympy.Symbol("x")
-    rows = []
-    for i, row in enumerate(entries):
-        cols = []
-        for j, text in enumerate(row):
-            try:
-                expr = sympy.sympify(text, locals={"x": x})
-            except (sympy.SympifyError, SyntaxError) as exc:
-                raise ConfigError(field, f"entry ({i},{j}) failed to parse: {exc}")
-            cols.append(sympy.lambdify(x, expr, "numpy"))
-        rows.append(cols)
 
-    def evaluate(xv):
-        return np.array([[float(c(xv)) for c in row] for row in rows])
+def _checked(node, namespace):
+    """The entry with its numbers bound to float64 names; ValueError outside _GRAMMAR."""
+    value = node.value if isinstance(node, ast.Constant) else node
+    if not isinstance(value, ast.AST):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{value!r} is not a real number")
+        name = f"_c{len(namespace)}"
+        namespace[name] = np.float64(float(value))
+        return ast.Name(name, ast.Load())
+    if isinstance(node, ast.Name) and node.id == "x":
+        return node
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+        return ast.BinOp(_checked(node.left, namespace), node.op,
+                         _checked(node.right, namespace))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _OPERATORS):
+        return ast.UnaryOp(node.op, _checked(node.operand, namespace))
+    name = getattr(getattr(node, "func", None), "id", None)
+    if name in _FUNCTIONS and len(node.args) == 1 and not node.keywords:
+        namespace[name] = _FUNCTIONS[name]
+        return ast.Call(node.func, [_checked(node.args[0], namespace)], [])
+    raise ValueError(f"{ast.unparse(node)!r} is outside the grammar")
 
-    return evaluate
+
+def _table_callable(entries, field):
+    """One code object for a table of entries (n x n or n), as x -> array of its shape."""
+    namespace = {}
+
+    def entry(value, label):
+        try:
+            if isinstance(value, str):
+                if len(value) > MAX_ENTRY_CHARS:
+                    raise ValueError(f"longer than {MAX_ENTRY_CHARS} characters")
+                value = ast.parse(value.strip(), mode="eval").body
+            return _checked(value, namespace)
+        except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+            raise ConfigError(field, f"entry {label}: {exc}; {_GRAMMAR}")
+
+    table = np.array(entries, dtype=object)
+    nodes = [entry(table[i], f"({','.join(map(str, i))})") for i in np.ndindex(table.shape)]
+    code = compile(ast.fix_missing_locations(ast.Expression(ast.Tuple(nodes, ast.Load()))),
+                   field, "eval")
+    return lambda x: np.array(
+        eval(code, {"__builtins__": {}}, {**namespace, "x": np.float64(x)})).reshape(table.shape)
 
 
 def _samples_callable(doc, n, field):
@@ -329,28 +368,7 @@ def _samples_callable(doc, n, field):
     return evaluate
 
 
-def _vector_callable(doc, n, field):
-    import sympy
-
-    if not isinstance(doc, dict) or doc.get("kind") != "expression":
-        raise ConfigError(field, "only expression-valued profiles are supported")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or len(entries) != n:
-        raise ConfigError(field, f"entries must list {n} expressions")
-    x = sympy.Symbol("x")
-    fns = []
-    for i, text in enumerate(entries):
-        try:
-            expr = sympy.sympify(text, locals={"x": x})
-        except (sympy.SympifyError, SyntaxError) as exc:
-            raise ConfigError(field, f"entry {i} failed to parse: {exc}")
-        fns.append(sympy.lambdify(x, expr, "numpy"))
-    return lambda xv: np.array([float(f(xv)) for f in fns])
-
-
 def _symmetric_array(doc, key, n):
-    if key not in doc:
-        raise ConfigError(key, "missing required field")
     arr = np.atleast_2d(np.asarray(doc[key], dtype=float))
     if arr.shape != (n, n):
         raise ConfigError(key, f"must be an {n} x {n} matrix, got shape {arr.shape}")
@@ -386,22 +404,22 @@ def from_config(doc):
         raise ConfigError("potential", "must be an object with a 'kind'")
     if pot_doc["kind"] == "expression":
         entries = pot_doc.get("entries")
-        if not isinstance(entries, list) or len(entries) != n or any(
-            not isinstance(r, list) or len(r) != n for r in entries
-        ):
+        if np.array(entries, dtype=object).shape != (n, n):
             raise ConfigError("potential", f"entries must be an {n} x {n} table")
-        potential = _expression_callable(entries, n, "potential")
+        potential = _table_callable(entries, "potential")
     elif pot_doc["kind"] == "samples":
         potential = _samples_callable(pot_doc, n, "potential")
     else:
         raise ConfigError("potential", "kind must be 'expression' or 'samples'")
 
-    profile = _vector_callable(doc["profile"], n, "profile") if "profile" in doc else None
-    profile_derivative = (
-        _vector_callable(doc["profile_derivative"], n, "profile_derivative")
-        if "profile_derivative" in doc
-        else None
-    )
+    profiles = {}
+    for key in (k for k in ("profile", "profile_derivative") if k in doc):
+        vec = doc[key]
+        expression = isinstance(vec, dict) and vec.get("kind") == "expression"
+        entries = vec.get("entries") if expression else None
+        if np.array(entries, dtype=object).shape != (n,):
+            raise ConfigError(key, f"must be an expression object listing {n} entries")
+        profiles[key] = _table_callable(entries, key)
 
     model = WaveModel(
         n=n,
@@ -410,12 +428,13 @@ def from_config(doc):
         q_plus=q_plus,
         decay_rate=decay_rate,
         kind=kind,
-        profile=profile,
-        profile_derivative=profile_derivative,
+        profile=profiles.get("profile"),
+        profile_derivative=profiles.get("profile_derivative"),
         name=str(doc.get("name", "")),
     )
     try:
-        validate_model(model)
+        with np.errstate(all="ignore"):  # non-finite Q is a ConfigError, not a warning
+            validate_model(model)
     except ModelValidationError as exc:
         raise ConfigError("model", str(exc))
     return model

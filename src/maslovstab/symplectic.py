@@ -256,7 +256,7 @@ def match_phases(beta_old, beta_new):
 def _step_crossings(beta_old, dbeta, t0, t1, zero_tol, step_bound):
     """Crossings of beta = 0 on the half-open step (t0, t1].
 
-    Returns a list of (param, direction).  A phase sitting at zero at t0
+    Returns a list of single crossing events.  A phase sitting at zero at t0
     belongs to the previous step and is skipped; one arriving at zero at t1
     is counted.
     """
@@ -276,21 +276,22 @@ def _step_crossings(beta_old, dbeta, t0, t1, zero_tol, step_bound):
             continue
         direction = 1 if db > 0 else -1
         frac = abs(b0) / abs(db) if db != 0.0 else 1.0
-        out.append((t0 + frac * (t1 - t0), direction))
+        out.append(CrossingEvent(float(t0 + frac * (t1 - t0)), 1, direction))
     return out
 
 
-def _merge_events(raw, span, merge_tol=1e-9):
-    """Cluster same-direction crossings at coincident parameters."""
-    events = []
-    for param, direction in sorted(raw, key=lambda e: (e[0], -e[1])):
-        if events:
-            last = events[-1]
-            if last.direction == direction and abs(param - last.param) <= merge_tol * max(span, 1.0):
-                events[-1] = CrossingEvent(last.param, last.multiplicity + 1, direction)
-                continue
-        events.append(CrossingEvent(float(param), 1, direction))
-    return events
+def _merge_events(events, span, merge_tol=1e-9):
+    """Cluster same-direction crossings at coincident parameters, summing multiplicities."""
+    tol = merge_tol * max(span, 1.0)
+    merged = []
+    for ev in sorted(events, key=lambda e: (e.param, -e.direction)):
+        last = merged[-1] if merged else None
+        if last and last.direction == ev.direction and abs(ev.param - last.param) <= tol:
+            merged[-1] = CrossingEvent(last.param, last.multiplicity + ev.multiplicity,
+                                       ev.direction)
+        else:
+            merged.append(ev)
+    return merged
 
 
 def path_maslov_index(path, params=None, crossing_tol=1e-8):

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ class TestBasics:
                            "--lambda-star", "1e-3")
         assert code == 0
         assert out == "conjugate_points=1"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [
+        "y*exp(-x**2)",
+        "I*exp(-x**2)",
+        "1/(x-x)",
+        "zoo*exp(-x**2)",
+        "-1 + 0*x + 0*7**10**8",
+        "-1 + 0*exp(-x**2)*__import__('pathlib').Path('{probe}').write_text('x')",
+    ])
+    def test_bad_config_entry_is_one_config_error(self, capsys, tmp_path, entry):
+        probe = tmp_path / "probe"
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(SECH_CONFIG, potential={
+            "kind": "expression", "entries": [[entry.format(probe=probe)]]})))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json-errors", "conjugate",
+                             "--config", str(cfg), "--lambda-star", "1e-3")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert not probe.exists()
 
     def test_compare_disagreement_exit_two(self, capsys, monkeypatch):
         from maslovstab import cli as cli_mod

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maslovstab import flow, oracle, prufer, symplectic
-from maslovstab.errors import NonHyperbolicError, OptionsError
+from maslovstab.errors import CountMismatchError, NonHyperbolicError, OptionsError
 from maslovstab.evans import compare_counts
 from maslovstab.flow import (
     FlowOptions,
@@ -211,6 +211,20 @@ class TestMaslovSquare:
             if rep.top_events:
                 assert top_dirs == {-1}
 
+
+    def test_persistent_top_edge_dip_raises(self, monkeypatch):
+        # a double zero of E never changes sign, so every grid sees a dip
+        grids = []
+
+        def tangential(model, lams, opts, x_match):
+            grids.append(len(lams))
+            return (lams - 0.3123) ** 2, None
+
+        monkeypatch.setattr(flow, "evans_determinant", tangential)
+        opts = FlowOptions().resolve(SECH)
+        with pytest.raises(CountMismatchError, match="dips"):
+            flow._top_edge(SECH, 1e-3, 3.0, opts)
+        assert grids == [129, 257, 513]
 
 class TestCountUnstable:
     def test_sech(self):

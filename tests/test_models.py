@@ -1,10 +1,16 @@
+import copy
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from maslovstab.errors import ConfigError, ModelValidationError
 from maslovstab.models import (
     BUILTIN_NAMES,
+    WaveModel,
     builtin,
     builtin_functions,
     check_decay,
@@ -217,3 +223,143 @@ class TestFromConfig:
         cfg["potential"] = {"kind": "expression", "entries": [["not a )( formula"]]}
         with pytest.raises(ConfigError, match="potential"):
             from_config(cfg)
+
+    def test_no_sympy_needed(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        m = from_config(SECH_CONFIG)
+        assert_allclose(m.q(0.0), [[2.0]], atol=1e-14)
+
+    def test_table_matches_numpy(self):
+        # every function of the grammar, evaluated as numpy would
+        cfg = {
+            "n": 2,
+            "kind": "custom",
+            "decay_rate": 1.0,
+            "potential": {"kind": "expression", "entries": [
+                ["-1 + 3*sech(x/2)**2", "0.1*exp(-x**2)*cos(x)"],
+                ["0.1*exp(-x**2)*cos(x)",
+                 "-2 + abs(tanh(x))*sinh(x)/cosh(x)**3 - +sin(x)*exp(-x**2)*log(2 + sqrt(1 + x*x))"],
+            ]},
+            "q_minus": [[-1.0, 0.0], [0.0, -2.0]],
+            "q_plus": [[-1.0, 0.0], [0.0, -2.0]],
+        }
+        m = from_config(cfg)
+        for x in np.linspace(-3.0, 3.0, 13):
+            off = 0.1 * np.exp(-x**2) * np.cos(x)
+            ref = [[-1 + 3 * (1 / np.cosh(x / 2)) ** 2, off],
+                   [off, -2 + np.abs(np.tanh(x)) * np.sinh(x) / np.cosh(x) ** 3
+                    - np.sin(x) * np.exp(-x**2) * np.log(2 + np.sqrt(1 + x * x))]]
+            assert_allclose(m.q(x), ref, rtol=1e-15, atol=0.0)
+
+    def test_json_numbers_are_entries(self):
+        cfg = dict(SECH_CONFIG)
+        cfg["potential"] = {"kind": "expression", "entries": [[-1]]}
+        assert_allclose(from_config(cfg).q(5.0), [[-1.0]])
+        cfg["potential"] = {"kind": "expression", "entries": [[" -1.0e0 "]]}
+        assert_allclose(from_config(cfg).q(5.0), [[-1.0]])
+
+    @pytest.mark.parametrize("entry, message", [
+        ("x^2", "'x ^ 2' is outside the grammar; allowed are numbers, x, "
+                "+ - * / ** (powers are **, not ^)"),
+        ("y*exp(-x**2)", "'y' is outside"),
+        ("os.getcwd()", "'os.getcwd()' is outside"),
+        ("erf(x)", "'erf(x)' is outside"),
+        ("x.real", "'x.real' is outside"),
+        ("exp(x)[0]", "'exp(x)[0]' is outside"),
+        ("exp(x=1)", "'exp(x=1)' is outside"),
+        ("sin(x, 2)", "'sin(x, 2)' is outside"),
+        ("x < 1", "'x < 1' is outside"),
+        ("lambda: 1", "'lambda: 1' is outside"),
+        ("'1'", "'1' is not a real number"),
+        ("True", "True is not a real number"),
+        ("1j*x", "1j is not a real number"),
+        (True, "True is not a real number"),
+        (None, "None is not a real number"),
+        pytest.param("1" + "0" * 400, "too large", id="huge-int"),
+        pytest.param("x" * 1001, "longer than 1000 characters", id="too-long"),
+        pytest.param("-" * 999 + "x", "recursion", id="deep-nesting"),
+        ("exp(", "never closed"),
+    ])
+    def test_entry_outside_grammar_rejected(self, entry, message):
+        cfg = dict(SECH_CONFIG)
+        cfg["potential"] = {"kind": "expression", "entries": [[entry]]}
+        with pytest.raises(ConfigError) as info:
+            from_config(cfg)
+        assert info.value.field == "potential"
+        assert str(info.value).startswith("potential: entry (0,0): ")
+        assert message in str(info.value)
+
+    def test_profile_entry_index_named(self):
+        cfg = dict(SECH_CONFIG)
+        cfg["profile"] = {"kind": "expression", "entries": ["__import__('os')"]}
+        with pytest.raises(ConfigError, match=r"entry \(0\)") as info:
+            from_config(cfg)
+        assert info.value.field == "profile"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [
+        "-1 + 0*log(-1 - x**2)", "-1 + 0*x*2**10**10", "1/(x - x)",
+        "-1 + 0*exp(x**2/0.74)",  # finite on [-20, 20], nan at the decay check
+    ])
+    def test_non_finite_potential_rejected(self, entry):
+        cfg = dict(SECH_CONFIG)
+        cfg["potential"] = {"kind": "expression", "entries": [[entry]]}
+        with pytest.raises(ConfigError, match="not finite|tail nan"):
+            from_config(cfg)
+
+    def test_validate_rejects_non_finite_sample(self):
+        ref = builtin("scalar_sech_pulse")
+        holed = WaveModel(
+            n=1, potential=lambda x: [[np.nan]] if x == 0.0 else ref.q(x),
+            q_minus=ref.q_minus, q_plus=ref.q_plus, decay_rate=1.0,
+            kind="pulse", name="holed",
+        )
+        with pytest.raises(ModelValidationError, match="not finite at x = 0"):
+            validate_model(holed)
+
+
+_FUNCTION_NAMES = ("exp", "log", "sqrt", "abs", "sin", "cos", "sinh", "cosh",
+                   "tanh", "sech")
+
+
+def _grammar_expressions():
+    leaves = st.sampled_from(["x", "1", "2.5", "1e-3", "0", "3", "10", "1e300"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("({}{}{})".format, inner,
+                  st.sampled_from(["+", "-", "*", "/", "**"]), inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}({})".format, st.sampled_from(_FUNCTION_NAMES), inner),
+    ), max_leaves=12)
+
+
+_TOKENS = ["x", "1", "2.5", "0", "10", "+", "-", "*", "/", "**", "^", "(", ")",
+           ",", " ", ".", "[0]", "y", "I", "zoo", "pi", "__import__", "'os'",
+           "lambda", ":", "==", "True", "1j", "x=1", "10**400",
+           *(f"{name}(" for name in _FUNCTION_NAMES)]
+
+
+class TestConfigEntryProperty:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        entry=st.one_of(
+            _grammar_expressions().map("-1 + 0.5*exp(-x**2)*{}".format),
+            _grammar_expressions(),
+            st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+            st.text(max_size=80),
+            st.integers(), st.floats(), st.booleans(), st.none(),
+        ),
+        field=st.sampled_from(["potential", "profile_derivative"]),
+    )
+    def test_model_or_config_error(self, entry, field):
+        cfg = copy.deepcopy(SECH_CONFIG)
+        if field == "potential":
+            cfg["potential"]["entries"] = [[entry]]
+        else:
+            cfg["profile_derivative"]["entries"] = [entry]
+        try:
+            model = from_config(cfg)
+        except ConfigError as exc:
+            assert exc.field in (field, "model")
+            return
+        assert isinstance(model, WaveModel)
+        assert np.all(np.isfinite(model.q(0.0)))

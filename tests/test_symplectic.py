@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maslovstab.symplectic import (
+    _merge_events,
     CrossingEvent,
     LagrangianFrame,
     MaslovIndexResult,
@@ -194,6 +195,14 @@ class TestPathMaslovIndex:
         assert len(res.events) == 1
         assert res.events[0].multiplicity == 2
 
+
+    def test_merge_sums_multiplicities(self):
+        events = [CrossingEvent(2.0, 1, 1), CrossingEvent(1.0 + 5e-8, 1, 1),
+                  CrossingEvent(1.0, 2, 1), CrossingEvent(1.5, 1, -1)]
+        assert _merge_events(events, 1.0, merge_tol=1e-7) == [
+            CrossingEvent(1.0, 3, 1), CrossingEvent(1.5, 1, -1), CrossingEvent(2.0, 1, 1),
+        ]
+        assert len(_merge_events(events, 1.0, merge_tol=1e-9)) == 4
 
 class TestResultTypes:
     def test_index_event_consistency_enforced(self):
