@@ -114,10 +114,12 @@ def load_config(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("path", f"no such config file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("path", f"cannot read config file {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("document", f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("document", "invalid JSON: nested too deeply")
     return from_config(doc)
 
 
@@ -242,33 +244,25 @@ def _cmd_square(args):
     model = _resolve_model(args)
     opts = _flow_options(args)
     report = flow.maslov_square(model, args.lambda_star, opts)
+    edges = {"left": report.left_events, "top": report.top_events,
+             "right": report.right_events, "bottom": report.bottom_events}
     if args.output:
-        rows = []
-        for edge, events in (
-            ("left", report.left_events), ("top", report.top_events),
-            ("right", report.right_events), ("bottom", report.bottom_events),
-        ):
-            for e in events:
-                rows.append((edge, float(e.param), e.multiplicity, e.direction))
         if args.format == "json":
             _write_json(args.output, {
                 "lambda_star": report.lambda_star,
                 "lambda_inf": report.lambda_inf,
                 "net_index": report.net_index,
-                "edges": {
-                    "left": _events_payload(report.left_events),
-                    "top": _events_payload(report.top_events),
-                    "right": _events_payload(report.right_events),
-                    "bottom": _events_payload(report.bottom_events),
-                },
+                "edges": {edge: _events_payload(e) for edge, e in edges.items()},
             })
         else:
+            rows = [(edge, float(e.param), e.multiplicity, e.direction)
+                    for edge, events in edges.items() for e in events]
             _write_csv(args.output, ["edge", "param", "crossing", "direction"], rows)
-    summary = (
-        f"net_index={report.net_index} left={len(report.left_events)} "
-        f"top={len(report.top_events)} right={len(report.right_events)} "
-        f"bottom={len(report.bottom_events)}"
-    )
+    # crossings, not events: an event of multiplicity m is m crossings
+    summary = " ".join([f"net_index={report.net_index}"] + [
+        f"{edge}={sum(e.multiplicity for e in events)}"
+        for edge, events in edges.items()
+    ])
     return 0, summary
 
 
@@ -285,9 +279,9 @@ def _cmd_evans(args):
             radius=args.contour_radius,
             samples=args.contour_samples,
         )
-    winding, values = evans_mod._winding_and_values(model, contour, opts)
+    winding, values = flow._winding_and_values(model, contour, opts)
     if args.output:
-        ts = evans_mod._contour_params(contour.samples)[:-1]
+        ts = flow._contour_params(contour.samples)[:-1]
         rows = [
             (float(t), float(pt.real), float(pt.imag),
              float(v.real), float(v.imag))

@@ -12,7 +12,9 @@ initialized from the unstable eigenspace at x = -L and evolved across
 plane.  The boundary of the rectangle [lambda_*, lambda_inf] x [-L, L]
 is a contractible loop, so its net Maslov index must vanish: conjugate
 points on the left edge (+1 each) balance eigenvalue crossings on the top
-edge (-1 each), and the right and bottom edges stay empty.
+edge (-1 each), and the right and bottom edges stay empty.  The top edge
+counts its crossings as zeros of the Evans function, by the same contour
+winding routine that serves the Evans channel (``evans``).
 
 Frame stabilization: the evolved 2n x n frame is re-orthonormalized every
 ``renorm_every`` units of x by a QR factorization with positive diagonal,
@@ -30,10 +32,12 @@ from scipy.optimize import brentq
 
 from . import symplectic
 from .errors import (
+    ContourError,
     CountMismatchError,
     InconsistencyError,
     NonHyperbolicError,
     OptionsError,
+    PhaseStepError,
     SolverError,
 )
 from .models import check_essential_stability
@@ -414,87 +418,223 @@ def evans_determinant(model, lams, opts, x_match):
     return np.linalg.det(np.concatenate([u_minus, s_plus], axis=2)), u_minus
 
 
-def _interpolated_evans_roots(model, lams, changes, opts, sub_points=33,
-                              rounds=2):
-    """Zeros of the real Evans determinant inside the flagged grid intervals.
+def _evans_values(model, lams, opts, x_match=0.0):
+    """Batched Evans determinants at the given (complex) lambda values."""
+    lams = np.asarray(lams, dtype=complex)
+    return evans_determinant(model, lams, opts, x_match)[0]
 
-    Each round evaluates all sub-grids in one batched run and shrinks every
-    bracket to the sub-interval with the sign change; the final root comes
-    from linear interpolation inside a bracket narrowed ~sub_points-fold
-    per round.
+
+ZERO_MARGIN = 1e-10
+
+
+@dataclass(frozen=True)
+class Contour:
+    """Circle in the spectral plane, sampled counterclockwise."""
+
+    center: complex
+    radius: float
+    samples: int = 256
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ContourError(f"contour radius {self.radius!r} must be positive")
+        if self.samples < 8:
+            raise ContourError("need at least 8 contour samples")
+
+    @classmethod
+    def enclosing(cls, lo, hi, samples=256):
+        """Circle through the real points lo and hi."""
+        return cls(center=complex(0.5 * (lo + hi)), radius=0.5 * (hi - lo),
+                   samples=samples)
+
+    def point(self, t):
+        return self.center + self.radius * np.exp(2j * np.pi * np.asarray(t))
+
+
+def validate_contour(model, contour, margin=1e-6):
+    """Reject contours that touch the essential spectrum (-inf, max eig]."""
+    max_eig = check_essential_stability(model).max_eig_qinf
+    pts = contour.point(np.arange(contour.samples) / contour.samples)
+    re, im = pts.real, pts.imag
+    dist = np.where(re > max_eig, np.abs(pts - max_eig), np.abs(im))
+    bad = ~((re > max_eig) | (dist > margin))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ContourError(
+            f"contour point {pts[k]:.6g} touches the essential spectrum "
+            f"(-inf, {max_eig:.6g}]"
+        )
+
+
+def _wrapped_diffs(phases):
+    d = np.diff(phases)
+    return np.arctan2(np.sin(d), np.cos(d))
+
+
+def _contour_params(samples):
+    """Closed-loop parameters clustered near t = 0 and t = 1/2.
+
+    The operators here are self-adjoint, so Evans zeros sit on the real
+    axis, which the contour crosses at those two parameters; cubic
+    clustering there keeps phase steps small without global oversampling.
     """
-    brackets = [(lams[j], lams[j + 1]) for j in changes]
-    roots = []
-    for _ in range(rounds):
-        if not brackets:
-            break
-        subs = [np.linspace(a, b, sub_points) for a, b in brackets]
-        values, _ = evans_determinant(model, np.concatenate(subs), opts,
-                                      opts.truncation)
-        next_brackets = []
-        roots = []
-        for i, sub in enumerate(subs):
-            vals = values[i * sub_points : (i + 1) * sub_points]
-            signs = np.sign(vals)
-            hits = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-            if len(hits) == 0:
-                # tangential dip: keep the strongest minimum
-                k = int(np.argmin(np.abs(vals)))
-                next_brackets.append((sub[max(k - 1, 0)],
-                                      sub[min(k + 1, sub_points - 1)]))
-                roots.append(float(sub[k]))
-                continue
-            j = int(hits[0])
-            a, b = sub[j], sub[j + 1]
-            fa, fb = vals[j], vals[j + 1]
-            next_brackets.append((a, b))
-            roots.append(float(a - fa * (b - a) / (fb - fa)))
-        brackets = next_brackets
-    return roots
+    u = np.arange(samples + 1) / samples
+    return u - np.sin(4.0 * np.pi * u) / (4.0 * np.pi)
+
+
+def _integrated_points(contour):
+    """Points at the base parameters whose Evans values are integrated.
+
+    Q is real, so E(conj lambda) = conj E(lambda): on a contour centred on
+    the real axis, conjugation maps parameter index k to m - k, and only
+    indices 0 .. m//2 are integrated; ``_mirrored`` supplies the rest.
+    """
+    m = contour.samples
+    stop = m // 2 + 1 if contour.center.imag == 0 else m
+    return contour.point(_contour_params(m)[:stop])
+
+
+def _mirrored(values, contour):
+    """The m open base values (t = 1 excluded) from those at the integrated points."""
+    if contour.center.imag != 0:
+        return values
+    m = contour.samples
+    return np.concatenate([values, np.conj(values[1 : (m + 1) // 2][::-1])])
+
+
+def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
+                            x_match, integrated=None):
+    """Evans values around the closed contour, a mask of the base samples
+    among them, and the refinement rounds used.
+
+    Samples the contour (or takes the values at ``_integrated_points``
+    evaluated elsewhere), then inserts midpoints wherever consecutive phase
+    steps reach pi/2, at most max_refine rounds.  Every round rejects a
+    contour passing within the zero margin of an Evans zero.
+    """
+    validate_contour(model, contour)
+    ts = _contour_params(contour.samples)
+    if integrated is None:
+        integrated = _evans_values(model, _integrated_points(contour), opts,
+                                   x_match=x_match)
+    base_values = _mirrored(integrated, contour)
+    values = np.append(base_values, base_values[0])  # closed: t=1 repeats t=0
+    base = np.arange(len(values)) < contour.samples
+    rounds = 0
+    while True:
+        mags = np.abs(values)
+        if np.min(mags) <= zero_margin * np.max(mags):
+            raise ContourError(
+                f"contour passes within the zero margin of an Evans zero "
+                f"(min |E| = {np.min(mags):.3e}, max |E| = {np.max(mags):.3e})"
+            )
+        diffs = _wrapped_diffs(np.angle(values))
+        bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
+        if len(bad) == 0:
+            return values, base, rounds
+        if rounds >= max_refine:
+            raise PhaseStepError(
+                f"{len(bad)} phase steps still reach pi/2 after {max_refine} "
+                "refinement rounds"
+            )
+        mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
+        mid_vals = _evans_values(model, contour.point(mid_ts % 1.0), opts,
+                                 x_match=x_match)
+        ts = np.insert(ts, bad + 1, mid_ts)
+        values = np.insert(values, bad + 1, mid_vals)
+        base = np.insert(base, bad + 1, False)
+        rounds += 1
+
+
+def _winding_and_values(model, contour, opts, zero_margin=ZERO_MARGIN,
+                        max_refine=3, x_match=0.0, integrated=None):
+    """Winding number and the Evans values at the m base samples.
+
+    ``opts`` must be resolved.  The final accumulated phase must sit within
+    0.1 of a nonnegative integer multiple of 2 pi.
+    """
+    values, base, _ = _refined_contour_values(model, contour, opts, zero_margin,
+                                              max_refine, x_match, integrated)
+    total = float(np.sum(_wrapped_diffs(np.angle(values))))
+    winding = total / (2.0 * np.pi)
+    nearest = int(np.round(winding))
+    if abs(winding - nearest) >= 0.1:
+        raise PhaseStepError(
+            f"accumulated phase {winding:.4f} turns is not within 0.1 of an integer"
+        )
+    # E is analytic inside a contour that avoids the essential spectrum, so
+    # its winding counts zeros; a negative one is an undersampled contour
+    if nearest < 0:
+        raise PhaseStepError(
+            f"winding {nearest} is negative: the contour is undersampled"
+        )
+    return nearest, values[base]
 
 
 def _top_edge(model, lambda_star, lambda_inf, opts):
-    """Eigenvalue crossings on the top edge of the square.
+    """Eigenvalue crossings on the top edge of the square, x = +L.
 
     At x = +L the W-eigenvalue passes -1 inside a lambda-window of width
-    ~ e^{-2 mu L}, far below float resolution, so phase sampling cannot see
-    the passage; the real Evans determinant matched at x = +L crosses zero
-    transversally at the same lambda and is the computable surrogate.  Each
-    sign change yields one event; its direction is the sign of the monotone
-    phase drift of the eigenvalue nearest -1 across the bracketing interval
-    (eigenvalue crossings come out -1, opposite to conjugate points).  A
-    near-zero dip without a sign change doubles the grid, at most twice; a
-    dip that survives the last doubling raises CountMismatchError.
+    ~ e^{-2 mu L}, far below float resolution, so the crossings are counted
+    as zeros of the Evans function.  A 129-point sweep of E matched at
+    x = 0, where it is smooth in lambda, flags every cell with a sign change
+    or next to an interior local minimum of |E|.  The winding of E around a
+    circle over each run of flagged cells, widened by half a cell, counts
+    its zeros.  Winding w with w sign changes on a 33-point real sub-grid
+    gives w simple events; fewer give one event of multiplicity w at the
+    sub-grid minimum of |E|; more raise CountMismatchError.  Directions are
+    the drift of the W-eigenvalue of U_-(+L) nearest -1 across the run
+    (eigenvalue crossings come out -1, opposite to conjugate points).
     """
-    k_grid = 129
-    for _ in range(3):
-        lams = np.linspace(lambda_star, lambda_inf, k_grid)
-        evans, frames_l = evans_determinant(model, lams, opts, opts.truncation)
-        scale = np.max(np.abs(evans))
-        if scale == 0.0:
-            raise CountMismatchError("Evans determinant vanished along the top edge")
-        signs = np.sign(evans)
-        changes = [j for j in range(len(lams) - 1) if signs[j] * signs[j + 1] < 0]
-        dips = [
-            j for j in range(1, len(lams) - 1)
-            if abs(evans[j]) < 1e-4 * scale
-            and abs(evans[j]) <= abs(evans[j - 1])
-            and abs(evans[j]) <= abs(evans[j + 1])
-            and j not in changes and j - 1 not in changes
-        ]
-        if dips:
-            k_grid = 2 * k_grid - 1
+    lams = np.linspace(lambda_star, lambda_inf, 129)
+    evans, frames_0 = evans_determinant(model, lams, opts, 0.0)
+    size = np.abs(evans)
+    flagged = np.sign(evans[:-1]) * np.sign(evans[1:]) < 0
+    dips = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
+    flagged[:-1] |= dips
+    flagged[1:] |= dips
+    steps = np.diff(np.concatenate([[0], flagged.astype(int), [0]]))
+    # (first, last) grid points of each run of flagged cells
+    spans = np.stack([np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)], axis=1)
+    if len(spans) == 0:
+        return ()
+    half = 0.5 * (lams[1] - lams[0])
+    ends = [(max(lams[lo] - half, lambda_star), min(lams[hi] + half, lambda_inf))
+            for lo, hi in spans]
+    contours = [Contour.enclosing(a, b, samples=32) for a, b in ends]
+    subs = [np.linspace(a, b, 33) for a, b in ends]
+    circles = [_integrated_points(c) for c in contours]
+    values = _evans_values(model, np.concatenate(circles + subs), opts)
+    on_circle = np.split(values[: sum(map(len, circles))], len(spans))
+    on_axis = np.split(values[sum(map(len, circles)):].real, len(spans))
+    frames_l = propagate(model, lams[spans.ravel()], frames_0[spans.ravel()],
+                         [0.0, opts.truncation], opts)[-1]
+    events = []
+    for k, (contour, sub, vals) in enumerate(zip(contours, subs, on_axis)):
+        winding, _ = _winding_and_values(model, contour, opts, integrated=on_circle[k])
+        # a sample within the zero margin sits on a zero: its sign is noise
+        mags = np.abs(vals)
+        signs = np.where(mags > ZERO_MARGIN * np.max(mags), np.sign(vals), 0.0)
+        signed = np.flatnonzero(signs)
+        hits = np.flatnonzero(signs[signed[:-1]] * signs[signed[1:]] < 0)
+        if len(hits) > winding:
+            raise CountMismatchError(
+                f"{len(hits)} sign changes of the Evans function on "
+                f"[{sub[0]:.6g}, {sub[-1]:.6g}] exceed its winding {winding}"
+            )
+        if winding == 0:
             continue
-        roots = _interpolated_evans_roots(model, lams, changes, opts)
-        events = []
-        for j, root in zip(changes, roots):
-            b_lo = _crossing_phase(frames_l[j])
-            b_hi = _crossing_phase(frames_l[j + 1])
-            drift = float(np.arctan2(np.sin(b_hi - b_lo), np.cos(b_hi - b_lo)))
-            direction = -1 if drift < 0 else 1
-            events.append(CrossingEvent(float(root), 1, direction))
-        return tuple(sorted(events, key=lambda e: e.param))
-    raise CountMismatchError("unresolved Evans dips remained on the top edge")
+        phases = [_crossing_phase(f) for f in frames_l[2 * k : 2 * k + 2]]
+        direction = -1 if _wrapped_diffs(phases)[0] < 0 else 1
+        if len(hits) < winding:
+            events.append(CrossingEvent(float(sub[np.argmin(mags)]), winding,
+                                        direction))
+            continue
+        lo, hi = signed[hits], signed[hits + 1]
+        a, b, fa, fb = sub[lo], sub[hi], vals[lo], vals[hi]
+        events.extend(CrossingEvent(float(root), 1, direction)
+                      for root in a - fa * (b - a) / (fb - fa))
+    return tuple(events)
 
 
 def _bottom_edge_empty(model, lambda_star, lambda_inf, n_samples=65):

@@ -16,6 +16,7 @@ Built-in models:
 """
 
 import ast
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,8 +350,8 @@ def _table_callable(entries, field):
 def _samples_callable(doc, n, field):
     from scipy.interpolate import CubicSpline
 
-    xs = np.asarray(doc.get("x", []), dtype=float)
-    values = np.asarray(doc.get("values", []), dtype=float)
+    xs = _float_array(doc.get("x", []), field)
+    values = _float_array(doc.get("values", []), field)
     if xs.ndim != 1 or len(xs) < 4:
         raise ConfigError(field, "cubic interpolation needs at least 4 samples")
     if np.any(np.diff(xs) <= 0):
@@ -368,10 +369,19 @@ def _samples_callable(doc, n, field):
     return evaluate
 
 
+def _float_array(value, field):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, f"entries must be numbers: {exc}")
+
+
 def _symmetric_array(doc, key, n):
-    arr = np.atleast_2d(np.asarray(doc[key], dtype=float))
+    arr = np.atleast_2d(_float_array(doc[key], key))
     if arr.shape != (n, n):
         raise ConfigError(key, f"must be an {n} x {n} matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(key, "entries must be finite")
     if np.max(np.abs(arr - arr.T)) > 1e-12:
         raise ConfigError(key, "symmetry violated")
     return arr
@@ -388,14 +398,16 @@ def from_config(doc):
         if key not in doc:
             raise ConfigError(key, "missing required field")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("n", "must be a positive integer")
     kind = doc["kind"]
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}")
-    decay_rate = float(doc["decay_rate"])
-    if decay_rate <= 0:
-        raise ConfigError("decay_rate", "must be positive")
+    decay_rate = doc["decay_rate"]
+    if (isinstance(decay_rate, bool) or not isinstance(decay_rate, (int, float))
+            or not 0 < decay_rate <= sys.float_info.max):
+        raise ConfigError("decay_rate", "must be a positive finite number")
+    decay_rate = float(decay_rate)
     q_minus = _symmetric_array(doc, "q_minus", n)
     q_plus = _symmetric_array(doc, "q_plus", n)
 

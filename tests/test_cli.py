@@ -151,6 +151,40 @@ class TestBasics:
         assert payload["error"] == "ConfigError"
         assert payload["field"] == "decay_rate"
 
+    @pytest.mark.parametrize("field, value", [
+        ("decay_rate", "fast"),
+        ("q_minus", "abc"),
+        ("q_minus", None),
+        ("n", True),
+    ])
+    def test_bad_config_field_is_one_config_error(self, capsys, tmp_path, field,
+                                                  value):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(SECH_CONFIG, **{field: value})))
+        code, out, err = run(capsys, "--json-errors", "conjugate",
+                             "--config", str(cfg), "--lambda-star", "1e-3")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert json.loads(line)["field"] == field
+
+    @pytest.mark.parametrize("field, content", [
+        ("document", "[" * 100_000),
+        ("path", None),
+    ], ids=["deeply-nested", "directory"])
+    def test_unreadable_config_is_one_config_error(self, capsys, tmp_path, field,
+                                                   content):
+        cfg = tmp_path / "model.json"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(content)
+        code, out, err = run(capsys, "--json-errors", "conjugate",
+                             "--config", str(cfg), "--lambda-star", "1e-3")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["field"] == field
+
     def test_config_model_runs(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(SECH_CONFIG))
@@ -231,6 +265,12 @@ class TestArtifacts:
         directions = [int(r[3]) for r in rows[1:]]
         assert directions == [1, -1]
 
+    def test_square_summary_counts_crossings(self, capsys):
+        # the demo's double eigenvalue at 0 is one top event of multiplicity 2
+        code, out, _ = run(capsys, "square", "--model", "coupled_gradient_demo",
+                           "--lambda-star", "-0.5")
+        assert (code, out) == (0, "net_index=0 left=3 top=3 right=0 bottom=0")
+
     def test_compare_json_payload(self, capsys, tmp_path):
         out_file = tmp_path / "compare.json"
         code, _, _ = run(capsys, "compare", "--model", "scalar_sech_pulse",
@@ -275,8 +315,26 @@ class TestWorkBudget:
         assert (code, out) == (0, "winding=1")
         assert sizes == [64 // 2 + 1]
 
+    def test_top_edge_makes_two_determinant_calls(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        sizes = []
+        determinant = flow.evans_determinant
+
+        def counting(model, lams, opts, x_match):
+            sizes.append(len(lams))
+            return determinant(model, lams, opts, x_match)
+
+        monkeypatch.setattr(flow, "evans_determinant", counting)
+        code, out, _ = run(capsys, "square", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3")
+        assert (code, out) == (0, "net_index=0 left=1 top=1 right=0 bottom=0")
+        # the 129-point sweep, then one batch for the span around 1.25: the
+        # upper half of its 32-sample circle and its 33-point real sub-grid
+        assert sizes == [129, 32 // 2 + 1 + 33]
+
     def test_refined_evans_csv_keeps_the_base_samples(self, capsys, tmp_path):
-        from maslovstab import evans
+        from maslovstab import evans, flow
 
         contour = evans.Contour(center=1.25, radius=0.5, samples=12)
         assert evans.winding_refinement_rounds(
@@ -289,7 +347,7 @@ class TestWorkBudget:
         with open(out_file) as fh:
             rows = list(csv.reader(fh))[1:]
         assert [r[0] for r in rows] == [
-            format(t, ".17g") for t in evans._contour_params(12)[:-1]
+            format(t, ".17g") for t in flow._contour_params(12)[:-1]
         ]
 
     def test_conjugate_propagates_the_path_once(self, capsys, tmp_path,

@@ -78,12 +78,13 @@ class TestSymmetricContour:
         opts = flow.FlowOptions().resolve(model)
         top = flow.lambda_ceiling(model, 1e-3, opts.truncation)
         contour = Contour.enclosing(1e-3, top, samples=samples)
-        values = evans._base_values(model, contour, opts, 0.0)
+        values = flow._mirrored(
+            flow._evans_values(model, flow._integrated_points(contour), opts), contour)
         assert len(values) == samples
         lower = np.arange(samples // 2 + 1, samples)
-        pts = contour.point(evans._contour_params(samples)[lower])
+        pts = contour.point(flow._contour_params(samples)[lower])
         assert np.all(pts.imag < 0)
-        direct = evans._evans_values(model, pts, opts)
+        direct = flow._evans_values(model, pts, opts)
         scale = np.max(np.abs(values))
         assert np.max(np.abs(values[lower] - direct)) <= 1e-8 * scale
 

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +18,7 @@ from maslovstab.flow import (
     maslov_square,
     system_matrix,
 )
-from maslovstab.models import builtin, constant_model
+from maslovstab.models import builtin, constant_model, from_config
 
 SECH = builtin("scalar_sech_pulse")
 FRONT = builtin("allen_cahn_front")
@@ -191,8 +194,9 @@ class TestMaslovSquare:
         assert len(rep.top_events) == 2
         assert rep.net_index == 0
         tops = sorted(e.param for e in rep.top_events)
-        assert abs(tops[0] - 0.0) < 1e-3
-        assert abs(tops[1] - 1.25) < 1e-3
+        # 1.25 = -0.5 + 64 * 3.5 / 128 sits exactly on a top-edge grid point
+        assert abs(tops[0] - 0.0) < 1e-6
+        assert abs(tops[1] - 1.25) < 1e-6
 
     def test_constant_model_empty(self):
         model = constant_model([[-1.0]])
@@ -211,20 +215,62 @@ class TestMaslovSquare:
             if rep.top_events:
                 assert top_dirs == {-1}
 
+    def _fake_top_edge(self, monkeypatch, fake):
+        """Top edge of the sech square with E replaced by fake(lams); the
+        frames that give directions still come from the real determinant."""
+        determinant = flow.evans_determinant
 
-    def test_persistent_top_edge_dip_raises(self, monkeypatch):
-        # a double zero of E never changes sign, so every grid sees a dip
-        grids = []
+        def faked(model, lams, opts, x_match):
+            return fake(lams), determinant(model, lams, opts, x_match)[1]
 
-        def tangential(model, lams, opts, x_match):
-            grids.append(len(lams))
-            return (lams - 0.3123) ** 2, None
+        monkeypatch.setattr(flow, "evans_determinant", faked)
+        return flow._top_edge(SECH, 1e-3, 3.0, FlowOptions().resolve(SECH))
 
-        monkeypatch.setattr(flow, "evans_determinant", tangential)
-        opts = FlowOptions().resolve(SECH)
-        with pytest.raises(CountMismatchError, match="dips"):
-            flow._top_edge(SECH, 1e-3, 3.0, opts)
-        assert grids == [129, 257, 513]
+    def test_double_zero_is_one_event_of_multiplicity_two(self, monkeypatch):
+        # E never changes sign at a double zero; the dip's winding counts it
+        (event,) = self._fake_top_edge(monkeypatch, lambda lams: (lams - 0.3123) ** 2)
+        assert event.multiplicity == 2
+        assert abs(event.param - 0.3123) < 3.0 / 128
+
+    def test_dip_without_a_zero_is_no_event(self, monkeypatch):
+        # zeros at 0.3123 +- 0.1i lie outside the dip's circle
+        assert self._fake_top_edge(
+            monkeypatch, lambda lams: (lams - 0.3123) ** 2 + 1e-2) == ()
+
+    def test_more_sign_changes_than_winding_raises(self, monkeypatch):
+        # a sign change on the real axis that the circle does not wind around
+        def fake(lams):
+            return np.where(lams.imag == 0, lams.real - 0.3123, 1.0)
+
+        with pytest.raises(CountMismatchError, match="exceed its winding 0"):
+            self._fake_top_edge(monkeypatch, fake)
+
+    @pytest.mark.parametrize("lam", [-0.5, -0.2])
+    def test_demo_double_eigenvalue_at_zero(self, lam):
+        # the demo's two blocks share the eigenvalue 0; 1.25 is simple
+        rep = maslov_square(DEMO, lam)
+        assert sum(e.multiplicity for e in rep.top_events) == 3
+        (double,) = [e for e in rep.top_events if e.multiplicity == 2]
+        assert abs(double.param) < 1e-3
+        assert rep.net_index == 0
+
+
+PAIRED = json.loads(
+    (pathlib.Path(__file__).parent / "paired_eigenvalues.json").read_text())
+
+
+class TestPairedEigenvalues:
+    """Sampled bumps with two eigenvalues inside one cell of the top-edge grid."""
+
+    @pytest.mark.parametrize("case", PAIRED, ids=[c["source"] for c in PAIRED])
+    def test_square_balances(self, case):
+        rep = maslov_square(from_config(case["doc"]), case["lambda_star"])
+        assert sum(e.multiplicity for e in rep.left_events) == 2
+        assert [e.multiplicity for e in rep.top_events] == [1, 1]
+        assert rep.net_index == 0
+        tops = sorted(e.param for e in rep.top_events)
+        assert_allclose(tops, sorted(case["eigenvalues"]), atol=2e-3, rtol=0)
+
 
 class TestCountUnstable:
     def test_sech(self):
