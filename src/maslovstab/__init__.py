@@ -34,7 +34,6 @@ from .models import (
 )
 from .oracle import (
     Discretization,
-    charpoly_bisection_eigenvalues,
     discretize,
     discretize_interval,
     eigenvalues,

@@ -235,10 +235,10 @@ def _sample_grid(model, lambda_, opts):
     # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
     # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
     # never skipped regardless of the potential's strength
-    bound = 1.0
-    for x in np.linspace(-L, L, 201):
-        row_sum = float(np.max(np.sum(np.abs(model.q(x)), axis=1)))
-        bound = max(bound, row_sum + abs(lambda_))
+    qs = np.array([model.q(x) for x in np.linspace(-L, L, 201)])
+    row_sums = np.max(np.sum(np.abs(qs), axis=2), axis=1)
+    # a NaN sample bounds nothing: fmax skips it
+    bound = max(1.0, float(np.fmax.reduce(row_sums)) + abs(lambda_))
     step = min(opts.sample_dx, 0.7 / (2.0 * bound))
     n_seg = max(1, int(math.ceil(2.0 * L / opts.renorm_every)))
     if 2.0 * L > MAX_PATH_SAMPLES * step:
@@ -383,13 +383,10 @@ def lambda_max_bound(model, truncation=None, n_samples=4001):
     L = truncation
     if L is None:
         L = FlowOptions().resolve(model).truncation
-    xs = np.linspace(-L, L, n_samples)
-    top = -np.inf
-    for x in xs:
-        q = model.q(x)
-        val = q[0, 0] if model.n == 1 else np.linalg.eigvalsh(q)[-1]
-        top = max(top, float(val))
-    return 1.0 + top
+    qs = np.array([model.q(x) for x in np.linspace(-L, L, n_samples)])
+    tops = qs[:, 0, 0] if model.n == 1 else np.linalg.eigvalsh(qs)[:, -1]
+    # a NaN sample bounds nothing: fmax skips it
+    return 1.0 + float(np.fmax.reduce(tops, initial=-np.inf))
 
 
 def lambda_ceiling(model, lambda_star, truncation):

@@ -4,9 +4,9 @@ The operator d^2/dx^2 + Q(x) is discretized on a uniform grid over [-L, L]
 with Dirichlet truncation and the [1, -2, 1]/h^2 stencil, giving a symmetric
 block-tridiagonal matrix stored in banded form.  A count above lambda_star
 is one LAPACK banded eigensolve; lambda_star must lie above the essential
-spectrum, where the truncation creates no boundary modes.  An independently
-written Householder-tridiagonalization + Sturm-sequence bisection solver is
-the reference the tests compare the LAPACK results against.
+spectrum, where the truncation creates no boundary modes.  The tests check
+the LAPACK results against an independently written Householder +
+Sturm-bisection solver (``tests/reference.py``).
 """
 
 from dataclasses import dataclass, field
@@ -50,19 +50,14 @@ class Discretization:
 
 def _build_band(q_at, xs, h, n):
     npt = len(xs)
-    total = n * npt
-    band = np.zeros((n + 1, total))
+    qs = np.array([np.atleast_2d(np.asarray(q_at(x), dtype=float)) for x in xs])
+    band = np.zeros((n + 1, n * npt))
     inv_h2 = 1.0 / (h * h)
-    for i, x in enumerate(xs):
-        qi = np.atleast_2d(np.asarray(q_at(x), dtype=float))
-        base = i * n
-        for c in range(n):
-            col = base + c
-            band[0, col] = qi[c, c] - 2.0 * inv_h2
-            for d in range(1, n - c):
-                band[d, col] = qi[c + d, c]
-            if i < npt - 1:
-                band[n, col] = inv_h2
+    band[0] = np.diagonal(qs, axis1=1, axis2=2).ravel() - 2.0 * inv_h2
+    # lower diagonal d holds q[c + d, c] at column c of each point's block
+    for d in range(1, n):
+        band[d].reshape(npt, n)[:, : n - d] = np.diagonal(qs, -d, axis1=1, axis2=2)
+    band[n, : n * (npt - 1)] = inv_h2
     return band
 
 
@@ -146,82 +141,3 @@ def _count_above(model, disc, lambda_star):
             f"lambda_star = {lambda_star!r}"
         )
     return len(vals)
-
-
-def scalar_count_above(q, a, b, h, lambda_star):
-    """Interval-problem variant of the count."""
-    disc = discretize_interval(q, a, b, h, n=1)
-    vals = eigenvalues(disc)
-    return int(np.sum(vals > lambda_star))
-
-
-# ---------------------------------------------------------------------------
-# Independent route: Householder tridiagonalization + Sturm-sequence bisection.
-# Deliberately avoids LAPACK, so tests can check the LAPACK results against it.
-
-def householder_tridiagonal(m):
-    """Reduce a symmetric matrix to tridiagonal form; returns (diag, subdiag)."""
-    a = np.array(m, dtype=float, copy=True)
-    size = a.shape[0]
-    for k in range(size - 2):
-        x = a[k + 1:, k].copy()
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        alpha = -np.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x
-        v[0] -= alpha
-        v_norm = np.linalg.norm(v)
-        if v_norm < 1e-300:
-            continue
-        v /= v_norm
-        sub = a[k + 1:, k + 1:]
-        p = sub @ v
-        w = p - (v @ p) * v
-        sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v)
-        a[k + 1, k] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 1:] = a[k + 1:, k]
-    return np.diag(a).copy(), np.diag(a, -1).copy()
-
-
-def sturm_count(diag, sub, sigmas):
-    """Number of eigenvalues at or below each sigma, by the Sturm sequence.
-
-    Zero pivots are nudged negative (LAPACK pivmin convention), which ties
-    exact hits to the "at or below" side; bisection only needs monotonicity.
-    """
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    sub2 = sub**2
-    pivmin = max(float(np.max(sub2, initial=0.0)), 1.0) * 1e-30
-    count = np.zeros(sigmas.shape, dtype=int)
-    q = np.zeros_like(sigmas)
-    for i in range(len(diag)):
-        if i == 0:
-            q = diag[0] - sigmas
-        else:
-            q = diag[i] - sigmas - sub2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
-def charpoly_bisection_eigenvalues(m, tol=1e-13):
-    """All eigenvalues of a symmetric matrix by Sturm bisection (ascending)."""
-    diag, sub = householder_tridiagonal(m)
-    pad = np.concatenate([[0.0], np.abs(sub), [0.0]])
-    radius = pad[:-1] + pad[1:]
-    lo_bound = float(np.min(diag - radius)) - 1e-8
-    hi_bound = float(np.max(diag + radius)) + 1e-8
-    size = len(diag)
-    lo = np.full(size, lo_bound)
-    hi = np.full(size, hi_bound)
-    targets = np.arange(1, size + 1)
-    scale = max(1.0, abs(lo_bound), abs(hi_bound))
-    while np.max(hi - lo) > tol * scale:
-        mid = 0.5 * (lo + hi)
-        counts = sturm_count(diag, sub, mid)
-        take_hi = counts >= targets
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)

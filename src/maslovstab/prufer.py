@@ -63,29 +63,6 @@ class PruferTrajectory:
         return float(self.dense.sol(x)[0])
 
 
-def continuity_metric(prob, samples=512):
-    """Two-scale finite-difference heuristic for continuity of q.
-
-    Returns (ok, detail).  For continuous q the largest step difference
-    roughly halves when the grid is refined; a jump keeps it constant.
-    """
-    a, b = prob.interval
-    vals = {}
-    for m in (samples, 2 * samples):
-        xs = np.linspace(a, b, m + 1)
-        qs = np.array([prob.q(x) for x in xs], dtype=float)
-        if not np.all(np.isfinite(qs)):
-            return False, "q evaluates to a non-finite value"
-        vals[m] = np.max(np.abs(np.diff(qs))) if len(qs) > 1 else 0.0
-    scale = 1.0 + max(abs(vals[samples]), abs(vals[2 * samples]))
-    if vals[2 * samples] <= 0.8 * vals[samples] + 1e-9 * scale:
-        return True, "steps contract under refinement"
-    return False, (
-        f"largest sampled jump {vals[2 * samples]:.3e} does not contract "
-        f"under grid refinement (coarse {vals[samples]:.3e})"
-    )
-
-
 def _angle_solution(prob, lams, rtol, dense_output=False):
     """Integrate the angle equation for a vector of lambdas at once.
 

@@ -171,16 +171,31 @@ def unitary_reduction(frame, unit_tol=UNIT_TOL):
     inverse is U* and W = conj(U) U*.  A non-unitary U (beyond unit_tol)
     means the input plane was not Lagrangian.
     """
-    a, b = orthonormalized_blocks(frame)
+    w = _reduced_stack(frame.stacked()[None], unit_tol)[0]
+    return UnitaryReduction(w=w, source_frame=frame)
+
+
+def _reduced_stack(stacked, unit_tol=UNIT_TOL, params=None):
+    """W of every frame in a (K, 2n, n) stack, as a (K, n, n) array.
+
+    Raises NonLagrangianError for the first frame whose U fails the
+    unitarity check, naming its entry of ``params`` when given.
+    """
+    n = stacked.shape[-1]
+    q = qr_positive(stacked)
+    a, b = q[:, :n], q[:, n:]
     u = a + 1j * b
-    residual = np.linalg.norm(u.conj().T @ u - np.eye(frame.dim))
-    if residual > unit_tol:
+    residuals = np.linalg.norm(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(n), axis=(1, 2))
+    bad = np.flatnonzero(residuals > unit_tol)
+    if len(bad) > 0:
+        k = bad[0]
+        where = "" if params is None else f" at parameter {float(params[k])!r}"
         raise NonLagrangianError(
-            f"frame is not Lagrangian: unitarity residual {residual:.3e} "
+            f"frame{where} is not Lagrangian: unitarity residual {residuals[k]:.3e} "
             f"exceeds {unit_tol:.1e}"
         )
     v = a - 1j * b
-    return UnitaryReduction(w=v @ v.T, source_frame=frame)
+    return v @ np.swapaxes(v, 1, 2)
 
 
 def dirichlet_intersection_dim(frame, tol=1e-6):
@@ -215,18 +230,6 @@ def maslov_angle(frame):
     return theta
 
 
-def plane_distance(frame1, frame2):
-    """Distance between column spans: sine of the largest principal angle.
-
-    Takes LagrangianFrames or raw (2n, n) matrices, real or complex.
-    """
-    p1, p2 = (
-        qr_positive(f.stacked() if isinstance(f, LagrangianFrame) else f)
-        for f in (frame1, frame2)
-    )
-    return float(np.linalg.norm(p1 @ p1.conj().T - p2 @ p2.conj().T, 2))
-
-
 def _wrap_pi(x):
     """Wrap to (-pi, pi]."""
     y = np.mod(x + np.pi, _TWO_PI) - np.pi
@@ -237,7 +240,7 @@ def _wrap_pi(x):
 
 
 def eigenphases_from_minus_one(w):
-    """Phases beta in (-pi, pi] of the eigenvalues of -W.
+    """Phases beta in (-pi, pi] of the eigenvalues of -W (of each W in a stack).
 
     beta = 0 exactly when the corresponding W-eigenvalue sits at -1, and
     beta increases when the eigenvalue moves counterclockwise.
@@ -311,7 +314,8 @@ def path_maslov_index(path, params=None, crossing_tol=1e-8):
     if params.shape[0] != len(frames):
         raise ValueError("params length must match the number of frames")
 
-    betas = [eigenphases_from_minus_one(unitary_reduction(f).w) for f in frames]
+    stacked = np.array([f.stacked() for f in frames])
+    betas = eigenphases_from_minus_one(_reduced_stack(stacked, params=params))
     raw = []
     for j in range(len(frames) - 1):
         order, dbeta = match_phases(betas[j], betas[j + 1])

@@ -156,6 +156,15 @@ class TestBasics:
         ("q_minus", "abc"),
         ("q_minus", None),
         ("n", True),
+        pytest.param("potential", {"kind": "samples", "x": [-3.0, -1.0, 1.0, 3.0],
+                                   "values": [[[-1.0]], [[np.nan]], [[0.5]], [[-1.0]]]},
+                     id="samples-nan-value"),
+        pytest.param("potential", {"kind": "samples", "x": [-3.0, -1.0, 1.0, np.inf],
+                                   "values": [[[-1.0]], [[0.5]], [[0.5]], [[-1.0]]]},
+                     id="samples-infinite-x"),
+        pytest.param("potential", {"kind": "samples", "x": [-3.0, np.nan, 1.0, 3.0],
+                                   "values": [[[-1.0]], [[0.5]], [[0.5]], [[-1.0]]]},
+                     id="samples-nan-x"),
     ])
     def test_bad_config_field_is_one_config_error(self, capsys, tmp_path, field,
                                                   value):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference
 from maslovstab import flow, oracle, prufer, symplectic
 from maslovstab.errors import CountMismatchError, NonHyperbolicError, OptionsError
 from maslovstab.evans import compare_counts
@@ -100,7 +101,7 @@ class TestPropagate:
         for k in range(len(lams)):
             single = flow.propagate(model, lams[k:k + 1], init[k:k + 1], xs, opts)
             for i in (1, 2):
-                assert symplectic.plane_distance(batch[i, k], single[i, 0]) <= 1e-8
+                assert reference.plane_distance(batch[i, k], single[i, 0]) <= 1e-8
 
     def test_zero_length_span_returns_qr_of_input(self):
         rng = np.random.default_rng(5)
@@ -117,7 +118,7 @@ class TestEvolve:
         model = constant_model([[-1.0]])
         path = evolve_unstable_frame(model, 0.5, FlowOptions(truncation=12.0))
         ref, _, _ = asymptotic_splitting(model, 0.5)
-        dists = [symplectic.plane_distance(f, ref) for _, f in path]
+        dists = [reference.plane_distance(f, ref) for _, f in path]
         assert max(dists) < 1e-6
 
     def test_sech_above_top_eigenvalue_never_vanishes(self):
@@ -171,11 +172,49 @@ class TestDetectConjugatePoints:
                 assert e.direction == 1
 
 
+COUPLED_2X2 = {
+    "n": 2, "kind": "custom", "decay_rate": 1.0,
+    "potential": {"kind": "expression", "entries": [
+        ["-1 + 3*sech(x/2)**2", "0.5*sech(x)"],
+        ["0.5*sech(x)", "-2 + 2*sech(x)**2"],
+    ]},
+    "q_minus": [[-1.0, 0.0], [0.0, -2.0]],
+    "q_plus": [[-1.0, 0.0], [0.0, -2.0]],
+}
+
+
 class TestLambdaMaxBound:
     def test_values(self):
         assert_allclose(lambda_max_bound(SECH), 3.0, atol=1e-6)
         assert_allclose(lambda_max_bound(FRONT), 2.0, atol=1e-6)
         assert_allclose(lambda_max_bound(DEMO), 3.0, atol=1e-6)
+
+    @pytest.mark.parametrize("model", [SECH, FRONT, DEMO, from_config(COUPLED_2X2)],
+                             ids=["sech", "front", "demo", "coupled-2x2"])
+    def test_equals_the_per_sample_loop(self, model):
+        L = FlowOptions().resolve(model).truncation
+        top = -np.inf
+        for x in np.linspace(-L, L, 4001):
+            q = model.q(x)
+            top = max(top, float(q[0, 0] if model.n == 1 else np.linalg.eigvalsh(q)[-1]))
+        got = np.float64(lambda_max_bound(model))
+        assert np.array_equal(got.view(np.int64), np.float64(1.0 + top).view(np.int64))
+
+
+class TestWorkBudget:
+    def test_path_phases_need_no_reduction_per_sample(self, monkeypatch):
+        calls = []
+        reduction = symplectic.unitary_reduction
+
+        def counting(frame, *args, **kwargs):
+            calls.append(frame)
+            return reduction(frame, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "unitary_reduction", counting)
+        samples = len(flow._sample_grid(SECH, 1e-3, FlowOptions().resolve(SECH)))
+        assert len(detect_conjugate_points(SECH, 1e-3)) == 1
+        # only the refinement of the one crossing reduces single frames
+        assert 0 < len(calls) < samples / 10
 
 
 class TestMaslovSquare:

@@ -212,6 +212,29 @@ class TestFromConfig:
         m = from_config(cfg)
         assert abs(m.q(0.0)[0, 0] - 2.0) < 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sampled_potential_is_the_clipped_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(11)
+        xs = np.linspace(-8.0, 8.0, 41) + rng.uniform(-0.1, 0.1, 41)
+        q_inf = -np.eye(n)
+        s = rng.standard_normal((n, n))
+        values = q_inf + 0.5 * (s + s.T) * np.exp(-xs**2)[:, None, None]
+        # a -0.0 sample where every other spline coefficient is negative:
+        # PPoly sums from 0.0, so it reads 0.0 there
+        values[19:23, 0, 0] = [1.0, -0.0, -1.5, -4.0]
+        cfg = {"n": n, "kind": "custom", "decay_rate": 1.0,
+               "potential": {"kind": "samples", "x": xs.tolist(),
+                             "values": values.tolist()},
+               "q_minus": q_inf.tolist(), "q_plus": q_inf.tolist()}
+        model = from_config(cfg)
+        points = np.concatenate([xs, [-np.inf, -1e300, np.inf, 1e300],
+                                 rng.uniform(-12.0, 12.0, 1000)])
+        got = np.array([model.q(x) for x in points])
+        want = CubicSpline(xs, values, axis=0)(np.clip(points, xs[0], xs[-1]))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_unknown_key_rejected(self):
         cfg = dict(SECH_CONFIG)
         cfg["spurious"] = 1

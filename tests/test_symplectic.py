@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from maslovstab import symplectic
+from maslovstab.flow import evolve_unstable_frame
+from maslovstab.models import builtin
 from maslovstab.symplectic import (
     _merge_events,
     CrossingEvent,
@@ -9,6 +12,7 @@ from maslovstab.symplectic import (
     MaslovIndexResult,
     check_lagrangian,
     dirichlet_intersection_dim,
+    eigenphases_from_minus_one,
     maslov_angle,
     path_maslov_index,
     unitary_reduction,
@@ -203,6 +207,35 @@ class TestPathMaslovIndex:
             CrossingEvent(1.0, 3, 1), CrossingEvent(1.5, 1, -1), CrossingEvent(2.0, 1, 1),
         ]
         assert len(_merge_events(events, 1.0, merge_tol=1e-9)) == 4
+
+
+class TestBatchedPhases:
+    @pytest.mark.parametrize("name", ["scalar_sech_pulse", "coupled_gradient_demo"])
+    def test_equal_the_per_frame_reduction(self, name, monkeypatch):
+        path = evolve_unstable_frame(builtin(name), 1e-3)
+        seen = []
+        match = symplectic.match_phases
+
+        def recording(beta_old, beta_new):
+            if not seen:
+                seen.append(beta_old.copy())
+            # beta_new arrives as computed, before the matching reorders it
+            seen.append(beta_new.copy())
+            return match(beta_old, beta_new)
+
+        monkeypatch.setattr(symplectic, "match_phases", recording)
+        path_maslov_index([f for _, f in path], [x for x, _ in path])
+        want = np.array([eigenphases_from_minus_one(unitary_reduction(f).w)
+                         for _, f in path])
+        assert np.array_equal(np.array(seen).view(np.int64), want.view(np.int64))
+
+    def test_non_lagrangian_frame_names_its_parameter(self):
+        params = 0.5 * np.arange(11)
+        frames = [LagrangianFrame(np.eye(2), t * np.eye(2)) for t in params]
+        frames[6] = LagrangianFrame([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonLagrangianError, match=r"frame at parameter 3\.0 is not"):
+            path_maslov_index(frames, params)
+
 
 class TestResultTypes:
     def test_index_event_consistency_enforced(self):
