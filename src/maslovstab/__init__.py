@@ -60,9 +60,7 @@ from .radial import (
 )
 from .symplectic import (
     CrossingEvent,
-    LagrangianFrame,
     MaslovIndexResult,
-    UnitaryReduction,
     check_lagrangian,
     dirichlet_intersection_dim,
     maslov_angle,

@@ -215,18 +215,18 @@ def _cmd_conjugate(args):
     events, path = flow._conjugate_points_and_path(model, args.lambda_star, opts)
     count = sum(e.multiplicity for e in events)
     if args.output:
-        path = flow._checked_path(*path)
+        xs, frames = flow._checked_path(*path)
+        det_a = np.linalg.det(frames[:, :model.n])
         params = np.array([e.param for e in events]) if events else np.array([])
         rows = []
-        for x, frame in path:
-            det_a = float(np.linalg.det(frame.a_block))
+        for x, det in zip(xs, det_a):
             nearest = int(np.argmin(np.abs(params - x))) if len(params) else -1
             hit = (
                 len(params) > 0
                 and abs(params[nearest] - x) <= 0.5 * opts.sample_dx
             )
             rows.append((
-                float(x), det_a, int(hit),
+                float(x), float(det), int(hit),
                 events[nearest].direction if hit else 0,
             ))
         if args.format == "json":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flow, oracle, parallel
 from .errors import ContourError
-from .flow import ZERO_MARGIN, Contour
+from .flow import Contour
 from .models import check_essential_stability
 
 
@@ -44,28 +44,19 @@ def evans_at(model, lambda_, opts=None, x_match=0.0):
     return EvansValue(lambda_=complex(lambda_), value=complex(value))
 
 
-def winding_number(model, contour, opts=None, zero_margin=ZERO_MARGIN,
-                   max_refine=3, x_match=0.0):
+def winding_number(model, contour, opts=None, x_match=0.0):
     """Winding of the Evans value around a contour = enclosed eigenvalue count.
 
-    The phase is sampled as in ``flow._refined_contour_values``; the final
-    accumulated phase must sit within 0.1 of a nonnegative integer multiple
-    of 2 pi.
+    The phase is sampled as in ``flow._refined_contour_values``, which
+    raises PhaseStepError when ``flow.MAX_REFINE`` midpoint rounds do not
+    bring every phase step below pi/2; the final accumulated phase must sit
+    within 0.1 of a nonnegative integer multiple of 2 pi.
     """
     opts = (opts or flow.FlowOptions()).resolve(model)
-    return flow._winding_and_values(model, contour, opts, zero_margin, max_refine,
-                                    x_match)[0]
+    return flow._winding_and_values(model, contour, opts, x_match)[0]
 
 
-def winding_refinement_rounds(model, contour, opts=None, x_match=0.0):
-    """Number of midpoint-insertion rounds the winding computation needs."""
-    opts = (opts or flow.FlowOptions()).resolve(model)
-    return flow._refined_contour_values(model, contour, opts, ZERO_MARGIN, 10,
-                                        x_match)[2]
-
-
-def compare_counts(model, opts=None, epsilon_shift=1e-3, contour=None,
-                   oracle_h=0.02):
+def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
     """Count unstable eigenvalues over all three channels and compare.
 
     Conjugate points at lambda = epsilon_shift, the Evans winding over a
@@ -78,8 +69,7 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, contour=None,
         raise ContourError("essential spectrum is unstable; no contour avoids it")
     opts = (opts or flow.FlowOptions()).resolve(model)
     lambda_inf = flow.lambda_ceiling(model, epsilon_shift, opts.truncation)
-    if contour is None:
-        contour = Contour.enclosing(epsilon_shift, lambda_inf)
+    contour = Contour.enclosing(epsilon_shift, lambda_inf)
 
     def conjugate_channel():
         events = flow.detect_conjugate_points(model, epsilon_shift, opts)

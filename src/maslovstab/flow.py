@@ -41,11 +41,15 @@ from .errors import (
     SolverError,
 )
 from .models import check_essential_stability
-from .symplectic import CrossingEvent, LagrangianFrame
+from .symplectic import CrossingEvent
 
 TRUNCATION_ADEQUACY = 1e-8
 # recorded frames along one path; default runs record a few hundred
 MAX_PATH_SAMPLES = 1_000_000
+# potential samples behind the spectral ceiling lambda_inf
+LAMBDA_MAX_SAMPLES = 4001
+# asymptotic frames checked along the bottom edge of the square
+BOTTOM_EDGE_SAMPLES = 65
 
 
 @dataclass(frozen=True)
@@ -161,16 +165,14 @@ def _asymptotic_frames(model, lams, side):
 
 
 def asymptotic_splitting(model, lambda_, side="minus"):
-    """Unstable/stable frames and decay rates of the asymptotic system.
+    """Unstable and stable (2n, n) frames and decay rates of the asymptotic system.
 
     Both frames are Lagrangian planes; see ``_asymptotic_frames``.
     """
     unstable, stable, mus = _asymptotic_frames(model, np.array([float(lambda_)]), side)
-    frames = tuple(LagrangianFrame.from_stacked(f[0]) for f in (unstable, stable))
-    for frame in frames:
-        if not symplectic.check_lagrangian(frame).passed:
-            raise NonHyperbolicError("asymptotic frame failed the Lagrangian check")
-    return frames[0], frames[1], mus[0]
+    if not np.all(symplectic.check_lagrangian(np.concatenate([unstable, stable])).passed):
+        raise NonHyperbolicError("asymptotic frame failed the Lagrangian check")
+    return unstable[0], stable[0], mus[0]
 
 
 def propagate(model, lams, frames, xs, opts):
@@ -263,43 +265,34 @@ def _unstable_path(model, lambda_, opts):
     return xs, frames
 
 
-def lagrangian_drift(model, lambda_, opts=None):
-    """Largest Lagrangian residual along the evolved path."""
-    opts = (opts or FlowOptions()).resolve(model)
-    _, frames = _unstable_path(model, lambda_, opts)
-    return max(symplectic.check_lagrangian(LagrangianFrame.from_stacked(m)).asymmetry
-               for m in frames)
-
-
 def evolve_unstable_frame(model, lambda_, opts=None):
     """Sampled path of the plane of solutions decaying at -infinity.
 
-    Returns a list of (x, LagrangianFrame) with orthonormalized frames.
-    Raises if the Lagrangian residual drifts beyond ten times the frame
-    tolerance anywhere along the path.
+    Returns the sample positions xs and the (len(xs), 2n, n) stack of
+    orthonormalized frames.  Raises if the Lagrangian residual drifts beyond
+    ten times the frame tolerance anywhere along the path.
     """
     opts = (opts or FlowOptions()).resolve(model)
     return _checked_path(*_unstable_path(model, lambda_, opts))
 
 
 def _checked_path(xs, frames):
-    """(x, LagrangianFrame) pairs of a sampled path, drift-checked."""
-    out = [(float(x), LagrangianFrame.from_stacked(m)) for x, m in zip(xs, frames)]
-    drifts = [symplectic.check_lagrangian(f).asymmetry for _, f in out]
+    """The sampled path (xs, frames), drift-checked in one batch."""
+    drifts = symplectic.check_lagrangian(frames).asymmetry
     k = int(np.argmax(drifts))
     if drifts[k] > 10.0 * symplectic.LAGR_TOL:
         raise InconsistencyError(
             f"Lagrangian residual drifted to {drifts[k]:.3e} at x = {xs[k]:.4g} "
             f"(limit {10.0 * symplectic.LAGR_TOL:.1e}); reduce rtol or renorm_every"
         )
-    return out
+    return xs, frames
 
 
-def _crossing_phase(frame_matrix):
-    """Signed phase of the W-eigenvalue nearest -1."""
-    red = symplectic.unitary_reduction(LagrangianFrame.from_stacked(frame_matrix))
-    betas = symplectic.eigenphases_from_minus_one(red.w)
-    return float(betas[np.argmin(np.abs(betas))])
+def _crossing_phases(frames):
+    """Signed phase of the W-eigenvalue nearest -1, for each frame of a stack."""
+    betas = symplectic.eigenphases_from_minus_one(symplectic.unitary_reduction(frames))
+    nearest = np.argmin(np.abs(betas), axis=1)
+    return betas[np.arange(len(betas)), nearest]
 
 
 def _refine_crossing(model, lambda_, x_lo, frame_lo, x_hi, xtol, opts):
@@ -308,8 +301,8 @@ def _refine_crossing(model, lambda_, x_lo, frame_lo, x_hi, xtol, opts):
     lams = np.array([float(lambda_)])
 
     def beta(x):
-        frame = propagate(model, lams, frame_lo[None], [x_lo, x], opts)[-1, 0]
-        return _crossing_phase(frame)
+        frames = propagate(model, lams, frame_lo[None], [x_lo, x], opts)[-1]
+        return float(_crossing_phases(frames)[0])
 
     b_lo = beta(x_lo)
     b_hi = beta(x_hi)
@@ -328,9 +321,7 @@ def _det_a_sign_changes(frames, n):
 
 def _detect_events(model, lambda_star, opts):
     xs, frames = _unstable_path(model, lambda_star, opts)
-    result = symplectic.path_maslov_index(
-        [LagrangianFrame.from_stacked(m) for m in frames], xs
-    )
+    result = symplectic.path_maslov_index(frames, xs)
     span = xs[-1] - xs[0]
     xtol = max(1e-12 * span, 1e-13)
     refined = []
@@ -378,12 +369,12 @@ def _conjugate_points_and_path(model, lambda_star, opts):
     return events, path
 
 
-def lambda_max_bound(model, truncation=None, n_samples=4001):
+def lambda_max_bound(model, truncation=None):
     """lambda_inf = 1 + sup_x max-eig Q(x): no spectrum above it."""
     L = truncation
     if L is None:
         L = FlowOptions().resolve(model).truncation
-    qs = np.array([model.q(x) for x in np.linspace(-L, L, n_samples)])
+    qs = np.array([model.q(x) for x in np.linspace(-L, L, LAMBDA_MAX_SAMPLES)])
     tops = qs[:, 0, 0] if model.n == 1 else np.linalg.eigvalsh(qs)[:, -1]
     # a NaN sample bounds nothing: fmax skips it
     return 1.0 + float(np.fmax.reduce(tops, initial=-np.inf))
@@ -422,6 +413,8 @@ def _evans_values(model, lams, opts, x_match=0.0):
 
 
 ZERO_MARGIN = 1e-10
+# midpoint-insertion rounds a contour winding may take
+MAX_REFINE = 3
 
 
 @dataclass(frozen=True)
@@ -499,14 +492,13 @@ def _mirrored(values, contour):
     return np.concatenate([values, np.conj(values[1 : (m + 1) // 2][::-1])])
 
 
-def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
-                            x_match, integrated=None):
-    """Evans values around the closed contour, a mask of the base samples
-    among them, and the refinement rounds used.
+def _refined_contour_values(model, contour, opts, x_match, integrated=None):
+    """Evans values around the closed contour and a mask of the base
+    samples among them.
 
     Samples the contour (or takes the values at ``_integrated_points``
     evaluated elsewhere), then inserts midpoints wherever consecutive phase
-    steps reach pi/2, at most max_refine rounds.  Every round rejects a
+    steps reach pi/2, at most MAX_REFINE rounds.  Every round rejects a
     contour passing within the zero margin of an Evans zero.
     """
     validate_contour(model, contour)
@@ -520,7 +512,7 @@ def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
     rounds = 0
     while True:
         mags = np.abs(values)
-        if np.min(mags) <= zero_margin * np.max(mags):
+        if np.min(mags) <= ZERO_MARGIN * np.max(mags):
             raise ContourError(
                 f"contour passes within the zero margin of an Evans zero "
                 f"(min |E| = {np.min(mags):.3e}, max |E| = {np.max(mags):.3e})"
@@ -528,10 +520,10 @@ def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
         diffs = _wrapped_diffs(np.angle(values))
         bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
         if len(bad) == 0:
-            return values, base, rounds
-        if rounds >= max_refine:
+            return values, base
+        if rounds >= MAX_REFINE:
             raise PhaseStepError(
-                f"{len(bad)} phase steps still reach pi/2 after {max_refine} "
+                f"{len(bad)} phase steps still reach pi/2 after {MAX_REFINE} "
                 "refinement rounds"
             )
         mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
@@ -543,15 +535,13 @@ def _refined_contour_values(model, contour, opts, zero_margin, max_refine,
         rounds += 1
 
 
-def _winding_and_values(model, contour, opts, zero_margin=ZERO_MARGIN,
-                        max_refine=3, x_match=0.0, integrated=None):
+def _winding_and_values(model, contour, opts, x_match=0.0, integrated=None):
     """Winding number and the Evans values at the m base samples.
 
     ``opts`` must be resolved.  The final accumulated phase must sit within
     0.1 of a nonnegative integer multiple of 2 pi.
     """
-    values, base, _ = _refined_contour_values(model, contour, opts, zero_margin,
-                                              max_refine, x_match, integrated)
+    values, base = _refined_contour_values(model, contour, opts, x_match, integrated)
     total = float(np.sum(_wrapped_diffs(np.angle(values))))
     winding = total / (2.0 * np.pi)
     nearest = int(np.round(winding))
@@ -606,6 +596,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     on_axis = np.split(values[sum(map(len, circles)):].real, len(spans))
     frames_l = propagate(model, lams[spans.ravel()], frames_0[spans.ravel()],
                          [0.0, opts.truncation], opts)[-1]
+    phases = _crossing_phases(frames_l)
     events = []
     for k, (contour, sub, vals) in enumerate(zip(contours, subs, on_axis)):
         winding, _ = _winding_and_values(model, contour, opts, integrated=on_circle[k])
@@ -621,8 +612,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
             )
         if winding == 0:
             continue
-        phases = [_crossing_phase(f) for f in frames_l[2 * k : 2 * k + 2]]
-        direction = -1 if _wrapped_diffs(phases)[0] < 0 else 1
+        direction = -1 if _wrapped_diffs(phases[2 * k : 2 * k + 2])[0] < 0 else 1
         if len(hits) < winding:
             events.append(CrossingEvent(float(sub[np.argmin(mags)]), winding,
                                         direction))
@@ -634,14 +624,11 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     return tuple(events)
 
 
-def _bottom_edge_empty(model, lambda_star, lambda_inf, n_samples=65):
+def _bottom_edge_empty(model, lambda_star, lambda_inf):
     """The frame at x = -L is the asymptotic unstable frame: never Dirichlet."""
-    lams = np.linspace(lambda_star, lambda_inf, n_samples)
+    lams = np.linspace(lambda_star, lambda_inf, BOTTOM_EDGE_SAMPLES)
     unstable, _, _ = _asymptotic_frames(model, lams, "minus")
-    return all(
-        symplectic.dirichlet_intersection_dim(LagrangianFrame.from_stacked(m)) == 0
-        for m in unstable
-    )
+    return not np.any(symplectic.dirichlet_intersection_dim(unstable))
 
 
 def maslov_square(model, lambda_star, opts=None):

@@ -1,8 +1,10 @@
 """Lagrangian planes in R^{2n} and the Maslov index of sampled plane paths.
 
-A Lagrangian plane is represented by a 2n x n frame matrix with blocks
-(A; B); the plane is the column span and any two frames of the same plane
-differ by right multiplication with an invertible n x n matrix.  The
+A Lagrangian plane is represented by a frame: a (2n, n) float array with
+blocks (A; B) whose column span is the plane; any two frames of the same
+plane differ by right multiplication with an invertible n x n matrix.  A
+sampled path is a (K, 2n, n) stack of frames, and every function here
+takes a frame or a stack and works over the leading axes.  The
 symplectic form is w(U, V) = <U, J V> with J = [[0, -I], [I, 0]].
 
 The unitary reduction of a plane is W = (A - iB)(A + iB)^{-1} computed
@@ -23,7 +25,7 @@ path is not counted; one at the terminal point is counted (half-open
 parameter interval).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,57 +35,9 @@ from .errors import IllConditionedError, NonLagrangianError, UndersampledPathErr
 RANK_TOL = 1e-10
 LAGR_TOL = 1e-8
 UNIT_TOL = 1e-8
+CROSSING_TOL = 1e-8
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _readonly(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class LagrangianFrame:
-    """A 2n x n frame (A; B) whose column span is a plane in R^{2n}."""
-
-    a_block: np.ndarray
-    b_block: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        a = _readonly(self.a_block)
-        b = _readonly(self.b_block)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"a_block must be square, got shape {a.shape}")
-        if b.shape != a.shape:
-            raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
-        object.__setattr__(self, "a_block", a)
-        object.__setattr__(self, "b_block", b)
-        object.__setattr__(self, "dim", a.shape[0])
-
-    @classmethod
-    def from_stacked(cls, stacked):
-        stacked = np.asarray(stacked, dtype=float)
-        n = stacked.shape[1]
-        if stacked.shape[0] != 2 * n:
-            raise ValueError(f"stacked frame must be 2n x n, got {stacked.shape}")
-        return cls(stacked[:n], stacked[n:])
-
-    def stacked(self):
-        return np.vstack([self.a_block, self.b_block])
-
-    def right_multiplied(self, r):
-        """Same plane, different frame: columns mixed by invertible r."""
-        return LagrangianFrame(self.a_block @ r, self.b_block @ r)
-
-
-@dataclass(frozen=True)
-class UnitaryReduction:
-    """The unitary matrix W attached to a Lagrangian plane."""
-
-    w: np.ndarray
-    source_frame: LagrangianFrame
 
 
 @dataclass(frozen=True)
@@ -126,19 +80,39 @@ class LagrangianCheck:
     passed: bool
 
 
-def check_lagrangian(frame, rank_tol=RANK_TOL, asym_tol=LAGR_TOL):
-    """Report rank defect of the stacked frame and the symplectic asymmetry.
+def _as_stack(frames):
+    """A frame or a stack of frames as a (K, 2n, n) float stack, and the
+    leading shape to give results back in."""
+    frames = np.asarray(frames, dtype=float)
+    n = frames.shape[-1] if frames.ndim >= 2 else 0
+    if n < 1 or frames.shape[-2] != 2 * n:
+        raise ValueError(f"a frame must be 2n x n, got shape {frames.shape}")
+    return frames.reshape((-1,) + frames.shape[-2:]), frames.shape[:-2]
+
+
+def _per_frame(values, lead):
+    """One value per frame: a Python scalar for a single frame, else an array."""
+    values = values.reshape(lead)
+    return values.item() if lead == () else values
+
+
+def check_lagrangian(frames, rank_tol=RANK_TOL, asym_tol=LAGR_TOL):
+    """Report rank defect of each frame and its symplectic asymmetry.
 
     The asymmetry is the spectral norm of A^T B - B^T A, i.e. the largest
     value of the symplectic form on a pair of unit combinations of columns.
     """
-    s = np.linalg.svd(frame.stacked(), compute_uv=False)
-    scale = max(1.0, s[0])
-    defect = int(np.sum(s <= rank_tol * scale))
-    asym = frame.a_block.T @ frame.b_block - frame.b_block.T @ frame.a_block
-    asym_norm = float(np.linalg.norm(asym, 2)) if frame.dim > 0 else 0.0
-    passed = defect == 0 and asym_norm <= asym_tol * scale**2
-    return LagrangianCheck(defect, asym_norm, float(s[-1]), passed)
+    stack, lead = _as_stack(frames)
+    n = stack.shape[-1]
+    s = np.linalg.svd(stack, compute_uv=False)
+    scale = np.maximum(1.0, s[:, 0])
+    defect = np.sum(s <= rank_tol * scale[:, None], axis=1)
+    a, b = stack[:, :n], stack[:, n:]
+    asym = np.swapaxes(a, 1, 2) @ b - np.swapaxes(b, 1, 2) @ a
+    asym_norm = np.linalg.norm(asym, 2, axis=(1, 2))
+    passed = (defect == 0) & (asym_norm <= asym_tol * scale**2)
+    return LagrangianCheck(*(_per_frame(v, lead)
+                             for v in (defect, asym_norm, s[:, -1], passed)))
 
 
 def qr_positive(u):
@@ -157,77 +131,63 @@ def qr_positive(u):
     return q * np.where(d < 0, -1.0, 1.0)[..., None, :]
 
 
-def orthonormalized_blocks(frame):
-    """Column-orthonormal representative (A, B) of the same plane."""
-    q = qr_positive(frame.stacked())
-    n = frame.dim
-    return q[:n], q[n:]
+def unitary_reduction(frames, params=None):
+    """W = (A - iB)(A + iB)^{-1} of a frame, or of each frame in a stack.
 
-
-def unitary_reduction(frame, unit_tol=UNIT_TOL):
-    """W = (A - iB)(A + iB)^{-1} through an orthonormalized frame.
-
-    For an orthonormal Lagrangian frame, U = A + iB is unitary, so the
-    inverse is U* and W = conj(U) U*.  A non-unitary U (beyond unit_tol)
-    means the input plane was not Lagrangian.
+    Computed through the orthonormalized frame: for an orthonormal
+    Lagrangian frame U = A + iB is unitary, so the inverse is U* and
+    W = conj(U) U*.  A non-unitary U (beyond UNIT_TOL) means the plane was
+    not Lagrangian; the NonLagrangianError names the first such frame's
+    entry of ``params`` when given.
     """
-    w = _reduced_stack(frame.stacked()[None], unit_tol)[0]
-    return UnitaryReduction(w=w, source_frame=frame)
-
-
-def _reduced_stack(stacked, unit_tol=UNIT_TOL, params=None):
-    """W of every frame in a (K, 2n, n) stack, as a (K, n, n) array.
-
-    Raises NonLagrangianError for the first frame whose U fails the
-    unitarity check, naming its entry of ``params`` when given.
-    """
-    n = stacked.shape[-1]
-    q = qr_positive(stacked)
+    stack, lead = _as_stack(frames)
+    n = stack.shape[-1]
+    q = qr_positive(stack)
     a, b = q[:, :n], q[:, n:]
     u = a + 1j * b
     residuals = np.linalg.norm(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(n), axis=(1, 2))
-    bad = np.flatnonzero(residuals > unit_tol)
+    bad = np.flatnonzero(residuals > UNIT_TOL)
     if len(bad) > 0:
         k = bad[0]
         where = "" if params is None else f" at parameter {float(params[k])!r}"
         raise NonLagrangianError(
             f"frame{where} is not Lagrangian: unitarity residual {residuals[k]:.3e} "
-            f"exceeds {unit_tol:.1e}"
+            f"exceeds {UNIT_TOL:.1e}"
         )
     v = a - 1j * b
-    return v @ np.swapaxes(v, 1, 2)
+    return (v @ np.swapaxes(v, 1, 2)).reshape(lead + (n, n))
 
 
-def dirichlet_intersection_dim(frame, tol=1e-6):
+def dirichlet_intersection_dim(frames, tol=1e-6):
     """Dimension of the intersection with the Dirichlet plane {(0, v)}.
 
     Counted two ways, which must agree: eigenvalues of W within tol of -1,
     and singular values of the orthonormalized a-block below tol/2 (the two
     spectra are related exactly by sigma(W + I) = 2 sigma(A)).
     """
-    red = unitary_reduction(frame)
-    eigs = np.linalg.eigvals(red.w)
-    count_w = int(np.sum(np.abs(eigs + 1.0) <= tol))
-    a, _ = orthonormalized_blocks(frame)
-    sing = np.linalg.svd(a, compute_uv=False)
-    count_a = int(np.sum(sing <= tol / 2.0))
-    if count_w != count_a:
+    stack, lead = _as_stack(frames)
+    n = stack.shape[-1]
+    eigs = np.linalg.eigvals(unitary_reduction(stack))
+    count_w = np.sum(np.abs(eigs + 1.0) <= tol, axis=1)
+    sing = np.linalg.svd(qr_positive(stack)[:, :n], compute_uv=False)
+    count_a = np.sum(sing <= tol / 2.0, axis=1)
+    bad = np.flatnonzero(count_w != count_a)
+    if len(bad) > 0:
+        k = bad[0]
         raise IllConditionedError(
-            f"Dirichlet intersection counts disagree: ker(W+I) gives {count_w}, "
-            f"a-block rank defect gives {count_a} (tol {tol:.1e})"
+            f"Dirichlet intersection counts disagree: ker(W+I) gives {count_w[k]}, "
+            f"a-block rank defect gives {count_a[k]} (tol {tol:.1e})"
         )
-    return count_w
+    return _per_frame(count_w, lead)
 
 
-def maslov_angle(frame):
+def maslov_angle(frames):
     """Angle theta in [0, 2pi) with e^{i theta} = det W."""
-    red = unitary_reduction(frame)
-    theta = float(np.angle(np.linalg.det(red.w)))
-    if theta < 0.0:
-        theta += _TWO_PI
-    if theta >= _TWO_PI:
-        theta -= _TWO_PI
-    return theta
+    stack, lead = _as_stack(frames)
+    theta = np.angle(np.linalg.det(unitary_reduction(stack)))
+    theta = np.where(theta < 0.0, theta + _TWO_PI, theta)
+    theta = np.where(theta >= _TWO_PI, theta - _TWO_PI, theta)
+    return _per_frame(theta, lead)
 
 
 def _wrap_pi(x):
@@ -268,7 +228,7 @@ def _step_crossings(beta_old, dbeta, t0, t1, zero_tol, step_bound):
         if abs(db) >= step_bound:
             raise UndersampledPathError(
                 f"phase step {abs(db):.3f} rad >= {step_bound:.3f} on "
-                f"({t0!r}, {t1!r}]; refine the path sampling"
+                f"({float(t0)!r}, {float(t1)!r}]; refine the path sampling"
             )
         if abs(b0) <= zero_tol:
             continue
@@ -297,15 +257,16 @@ def _merge_events(events, span, merge_tol=1e-9):
     return merged
 
 
-def path_maslov_index(path, params=None, crossing_tol=1e-8):
-    """Signed count of W-eigenvalue passages through -1 along a frame path.
+def path_maslov_index(frames, params=None):
+    """Signed count of W-eigenvalue passages through -1 along a (K, 2n, n)
+    stack of frames.
 
     The path must be sampled densely enough that every eigenvalue phase
     moves by less than pi/2 per step; a violation raises
     UndersampledPathError so the caller can refine.  Event parameters are
     located by linear interpolation of the crossing phase within its step.
     """
-    frames = list(path)
+    frames, _ = _as_stack(frames)
     if len(frames) < 2:
         return MaslovIndexResult(0, ())
     if params is None:
@@ -314,19 +275,18 @@ def path_maslov_index(path, params=None, crossing_tol=1e-8):
     if params.shape[0] != len(frames):
         raise ValueError("params length must match the number of frames")
 
-    stacked = np.array([f.stacked() for f in frames])
-    betas = eigenphases_from_minus_one(_reduced_stack(stacked, params=params))
+    betas = eigenphases_from_minus_one(unitary_reduction(frames, params))
     raw = []
     for j in range(len(frames) - 1):
         order, dbeta = match_phases(betas[j], betas[j + 1])
         raw.extend(
             _step_crossings(betas[j], dbeta, params[j], params[j + 1],
-                            crossing_tol, np.pi / 2)
+                            CROSSING_TOL, np.pi / 2)
         )
         betas[j + 1] = betas[j + 1][order]
     span = abs(params[-1] - params[0])
     events = tuple(_merge_events(raw, span))
-    n = frames[0].dim
+    n = frames.shape[-1]
     for e in events:
         if e.multiplicity > n:
             raise IllConditionedError(

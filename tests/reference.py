@@ -8,7 +8,7 @@ results against it.
 import numpy as np
 
 from maslovstab import oracle
-from maslovstab.symplectic import LagrangianFrame, qr_positive
+from maslovstab.symplectic import qr_positive
 
 
 def scalar_count_above(q, a, b, h, lambda_star):
@@ -112,10 +112,7 @@ def continuity_metric(prob, samples=512):
 def plane_distance(frame1, frame2):
     """Distance between column spans: sine of the largest principal angle.
 
-    Takes LagrangianFrames or raw (2n, n) matrices, real or complex.
+    Takes (2n, n) frames, real or complex.
     """
-    p1, p2 = (
-        qr_positive(f.stacked() if isinstance(f, LagrangianFrame) else f)
-        for f in (frame1, frame2)
-    )
+    p1, p2 = (qr_positive(f) for f in (frame1, frame2))
     return float(np.linalg.norm(p1 @ p1.conj().T - p2 @ p2.conj().T, 2))

@@ -342,17 +342,25 @@ class TestWorkBudget:
         # upper half of its 32-sample circle and its 33-point real sub-grid
         assert sizes == [129, 32 // 2 + 1 + 33]
 
-    def test_refined_evans_csv_keeps_the_base_samples(self, capsys, tmp_path):
-        from maslovstab import evans, flow
+    def test_refined_evans_csv_keeps_the_base_samples(self, capsys, tmp_path,
+                                                      monkeypatch):
+        from maslovstab import flow
 
-        contour = evans.Contour(center=1.25, radius=0.5, samples=12)
-        assert evans.winding_refinement_rounds(
-            builtin("scalar_sech_pulse"), contour) > 0
+        sizes = []
+        determinant = flow.evans_determinant
+
+        def counting(model, lams, opts, x_match):
+            sizes.append(len(lams))
+            return determinant(model, lams, opts, x_match)
+
+        monkeypatch.setattr(flow, "evans_determinant", counting)
         out_file = tmp_path / "evans.csv"
         code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
                            "--contour-center", "1.25", "0", "--contour-radius", "0.5",
                            "--contour-samples", "12", "--output", str(out_file))
         assert (code, out) == (0, "winding=1")
+        # the base samples, then at least one round of refinement midpoints
+        assert len(sizes) > 1
         with open(out_file) as fh:
             rows = list(csv.reader(fh))[1:]
         assert [r[0] for r in rows] == [
@@ -377,6 +385,26 @@ class TestWorkBudget:
         assert (code, out) == (0, "conjugate_points=1")
         L = flow.FlowOptions().resolve(builtin("scalar_sech_pulse")).truncation
         assert [span for span in starts if span[0] == -L] == [(-L, L)]
+
+    def test_conjugate_checks_the_drift_in_one_call(self, capsys, tmp_path,
+                                                    monkeypatch):
+        from maslovstab import symplectic
+
+        shapes = []
+        check = symplectic.check_lagrangian
+
+        def recording(frames, *args, **kwargs):
+            shapes.append(np.shape(frames))
+            return check(frames, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "check_lagrangian", recording)
+        out_file = tmp_path / "conjugate.csv"
+        code, out, _ = run(capsys, "conjugate", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3", "--output", str(out_file))
+        assert (code, out) == (0, "conjugate_points=1")
+        with open(out_file) as fh:
+            rows = len(list(csv.reader(fh))) - 1
+        assert shapes == [(rows, 2, 1)]
 
     def test_oracle_discretizes_once(self, capsys, tmp_path, monkeypatch):
         from maslovstab import oracle

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maslovstab import evans, flow
+from maslovstab import flow
 from maslovstab.errors import ContourError, NonHyperbolicError
 from maslovstab.evans import Contour, compare_counts, evans_at, winding_number
 from maslovstab.models import builtin, constant_model
@@ -66,9 +66,10 @@ class TestWinding:
             winding_number(SECH, Contour(center=-0.8, radius=0.5))
 
     def test_refinement_rounds_bounded(self):
+        # winding_number raises PhaseStepError when 3 rounds do not suffice
+        assert flow.MAX_REFINE == 3
         contour = Contour.enclosing(1e-3, flow.lambda_max_bound(SECH))
-        rounds = evans.winding_refinement_rounds(SECH, contour)
-        assert rounds <= 3
+        assert winding_number(SECH, contour) == 1
 
 
 class TestSymmetricContour:

@@ -59,12 +59,12 @@ class TestAsymptoticSplitting:
     def test_sech_lambda_zero(self):
         unstable, stable, rates = asymptotic_splitting(SECH, 0.0)
         assert_allclose(rates, [1.0])
-        assert_allclose(unstable.stacked().ravel() / unstable.a_block[0, 0], [1.0, 1.0])
+        assert_allclose(unstable.ravel() / unstable[0, 0], [1.0, 1.0])
 
     def test_sech_lambda_three(self):
         unstable, _, rates = asymptotic_splitting(SECH, 3.0)
         assert_allclose(rates, [2.0])
-        ratio = unstable.b_block[0, 0] / unstable.a_block[0, 0]
+        ratio = unstable[1, 0] / unstable[0, 0]
         assert_allclose(ratio, 2.0)
 
     def test_coupled_rates(self):
@@ -116,26 +116,27 @@ class TestPropagate:
 class TestEvolve:
     def test_constant_model_invariant_frame(self):
         model = constant_model([[-1.0]])
-        path = evolve_unstable_frame(model, 0.5, FlowOptions(truncation=12.0))
+        _, frames = evolve_unstable_frame(model, 0.5, FlowOptions(truncation=12.0))
         ref, _, _ = asymptotic_splitting(model, 0.5)
-        dists = [reference.plane_distance(f, ref) for _, f in path]
+        dists = [reference.plane_distance(f, ref) for f in frames]
         assert max(dists) < 1e-6
 
     def test_sech_above_top_eigenvalue_never_vanishes(self):
-        path = evolve_unstable_frame(SECH, 2.0)
-        dets = [np.linalg.det(f.a_block) for _, f in path]
+        _, frames = evolve_unstable_frame(SECH, 2.0)
+        dets = np.linalg.det(frames[:, :1])
         assert np.min(np.abs(dets)) > 1e-4
 
     def test_sech_near_zero_vanishes_once(self):
-        path = evolve_unstable_frame(SECH, 1e-3)
-        dets = np.array([np.linalg.det(f.a_block) for _, f in path])
+        _, frames = evolve_unstable_frame(SECH, 1e-3)
+        dets = np.linalg.det(frames[:, :1])
         signs = np.sign(dets)
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         assert changes == 1
 
     def test_lagrangian_residual_small(self):
         for model, lam in ((SECH, 1e-3), (DEMO, 0.5), (FRONT, 1.0)):
-            drift = flow.lagrangian_drift(model, lam)
+            _, frames = evolve_unstable_frame(model, lam)
+            drift = np.max(symplectic.check_lagrangian(frames).asymmetry)
             assert drift < symplectic.LAGR_TOL
 
     def test_truncation_adequacy_enforced(self):
@@ -215,6 +216,20 @@ class TestWorkBudget:
         assert len(detect_conjugate_points(SECH, 1e-3)) == 1
         # only the refinement of the one crossing reduces single frames
         assert 0 < len(calls) < samples / 10
+
+    def test_square_checks_the_bottom_edge_in_one_call(self, monkeypatch):
+        shapes = []
+        intersection = symplectic.dirichlet_intersection_dim
+
+        def recording(frames, *args, **kwargs):
+            shapes.append(np.shape(frames))
+            return intersection(frames, *args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "dirichlet_intersection_dim", recording)
+        model = constant_model(np.diag([-1.0, -2.0]))
+        rep = maslov_square(model, 1e-3, FlowOptions(truncation=12.0))
+        assert rep.net_index == 0
+        assert shapes == [(65, 4, 2)]
 
 
 class TestMaslovSquare:

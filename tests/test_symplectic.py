@@ -8,7 +8,6 @@ from maslovstab.models import builtin
 from maslovstab.symplectic import (
     _merge_events,
     CrossingEvent,
-    LagrangianFrame,
     MaslovIndexResult,
     check_lagrangian,
     dirichlet_intersection_dim,
@@ -22,36 +21,36 @@ from maslovstab.errors import NonLagrangianError, UndersampledPathError
 
 def line_frame(alpha):
     """n=1 frame for the line spanned by (cos a, sin a)."""
-    return LagrangianFrame([[np.cos(alpha)]], [[np.sin(alpha)]])
+    return np.array([[np.cos(alpha)], [np.sin(alpha)]])
 
 
 def random_lagrangian(rng, n):
     """A = I, B symmetric random, then a random invertible right factor."""
     b = rng.standard_normal((n, n))
     b = 0.5 * (b + b.T)
-    frame = LagrangianFrame(np.eye(n), b)
+    frame = np.vstack([np.eye(n), b])
     while True:
         r = rng.standard_normal((n, n))
         if abs(np.linalg.det(r)) > 0.1:
-            return frame.right_multiplied(r)
+            return frame @ r
 
 
 class TestCheckLagrangian:
     def test_horizontal_plane_passes(self):
-        f = LagrangianFrame(np.eye(2), np.zeros((2, 2)))
+        f = np.vstack([np.eye(2), np.zeros((2, 2))])
         rep = check_lagrangian(f)
         assert rep.passed
         assert rep.rank_defect == 0
         assert rep.asymmetry == 0.0
 
     def test_antisymmetric_product_fails(self):
-        f = LagrangianFrame(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        f = np.vstack([np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]])
         rep = check_lagrangian(f)
         assert not rep.passed
         assert_allclose(rep.asymmetry, 2.0, atol=1e-14)
 
     def test_zero_frame_rank_defect(self):
-        f = LagrangianFrame([[0.0]], [[0.0]])
+        f = np.vstack([[[0.0]], [[0.0]]])
         rep = check_lagrangian(f)
         assert not rep.passed
         assert rep.rank_defect == 1
@@ -60,23 +59,23 @@ class TestCheckLagrangian:
 class TestUnitaryReduction:
     def test_scalar_rotation(self):
         alpha = 0.37
-        red = unitary_reduction(line_frame(alpha))
-        assert_allclose(red.w[0, 0], np.exp(-2j * alpha), atol=1e-14)
+        w = unitary_reduction(line_frame(alpha))
+        assert_allclose(w[0, 0], np.exp(-2j * alpha), atol=1e-14)
 
     def test_identity_case(self):
-        red = unitary_reduction(line_frame(0.0))
-        assert_allclose(red.w[0, 0], 1.0, atol=1e-14)
+        w = unitary_reduction(line_frame(0.0))
+        assert_allclose(w[0, 0], 1.0, atol=1e-14)
 
     def test_block_diagonal_eigenvalues(self):
-        f = LagrangianFrame(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-        eigs = np.sort_complex(np.linalg.eigvals(unitary_reduction(f).w))
+        f = np.vstack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+        eigs = np.sort_complex(np.linalg.eigvals(unitary_reduction(f)))
         assert_allclose(eigs, [-1.0, 1.0], atol=1e-14)
 
     def test_unitarity_random(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5):
             f = random_lagrangian(rng, n)
-            w = unitary_reduction(f).w
+            w = unitary_reduction(f)
             assert_allclose(w @ w.conj().T, np.eye(n), atol=1e-10)
 
     def test_plane_invariance(self):
@@ -84,26 +83,26 @@ class TestUnitaryReduction:
         for n in (1, 2, 4):
             f = random_lagrangian(rng, n)
             r = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-            w1 = unitary_reduction(f).w
-            w2 = unitary_reduction(f.right_multiplied(r)).w
+            w1 = unitary_reduction(f)
+            w2 = unitary_reduction(f @ r)
             assert np.linalg.norm(w1 - w2) < 1e-8
 
     def test_non_lagrangian_rejected(self):
         # span{e1, e3} in R^4 carries a nonzero symplectic pairing
-        f = LagrangianFrame([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+        f = np.vstack([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NonLagrangianError):
             unitary_reduction(f)
 
 
 class TestDirichletIntersection:
     def test_horizontal(self):
-        assert dirichlet_intersection_dim(LagrangianFrame(np.eye(2), np.zeros((2, 2)))) == 0
+        assert dirichlet_intersection_dim(np.vstack([np.eye(2), np.zeros((2, 2))])) == 0
 
     def test_full_dirichlet(self):
-        assert dirichlet_intersection_dim(LagrangianFrame(np.zeros((2, 2)), np.eye(2))) == 2
+        assert dirichlet_intersection_dim(np.vstack([np.zeros((2, 2)), np.eye(2)])) == 2
 
     def test_one_direction(self):
-        f = LagrangianFrame(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        f = np.vstack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
         assert dirichlet_intersection_dim(f) == 1
 
     def test_agreement_on_random_frames(self):
@@ -123,7 +122,7 @@ class TestMaslovAngle:
         assert maslov_angle(line_frame(0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_dirichlet_plane_n2(self):
-        f = LagrangianFrame(np.zeros((2, 2)), np.eye(2))
+        f = np.vstack([np.zeros((2, 2)), np.eye(2)])
         assert maslov_angle(f) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -187,11 +186,18 @@ class TestPathMaslovIndex:
         with pytest.raises(UndersampledPathError):
             path_maslov_index(frames, ts)
 
+    def test_undersampled_message_prints_plain_floats(self):
+        with pytest.raises(UndersampledPathError) as info:
+            path_maslov_index([line_frame(0.0), line_frame(2.0)])
+        assert str(info.value) == (
+            "phase step 2.283 rad >= 1.571 on (0.0, 1.0]; refine the path sampling"
+        )
+
     def test_multiplicity_two(self):
         # Two decoupled lines rotating together cross D simultaneously.
         ts = np.linspace(0.0, 0.9 * np.pi, 181)
         frames = [
-            LagrangianFrame(np.diag([np.cos(t), np.cos(t)]), np.diag([np.sin(t), np.sin(t)]))
+            np.vstack([np.diag([np.cos(t), np.cos(t)]), np.diag([np.sin(t), np.sin(t)])])
             for t in ts
         ]
         res = path_maslov_index(frames, ts)
@@ -212,7 +218,7 @@ class TestPathMaslovIndex:
 class TestBatchedPhases:
     @pytest.mark.parametrize("name", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_equal_the_per_frame_reduction(self, name, monkeypatch):
-        path = evolve_unstable_frame(builtin(name), 1e-3)
+        xs, frames = evolve_unstable_frame(builtin(name), 1e-3)
         seen = []
         match = symplectic.match_phases
 
@@ -224,17 +230,55 @@ class TestBatchedPhases:
             return match(beta_old, beta_new)
 
         monkeypatch.setattr(symplectic, "match_phases", recording)
-        path_maslov_index([f for _, f in path], [x for x, _ in path])
-        want = np.array([eigenphases_from_minus_one(unitary_reduction(f).w)
-                         for _, f in path])
+        path_maslov_index(frames, xs)
+        want = np.array([eigenphases_from_minus_one(unitary_reduction(f)) for f in frames])
         assert np.array_equal(np.array(seen).view(np.int64), want.view(np.int64))
 
     def test_non_lagrangian_frame_names_its_parameter(self):
         params = 0.5 * np.arange(11)
-        frames = [LagrangianFrame(np.eye(2), t * np.eye(2)) for t in params]
-        frames[6] = LagrangianFrame([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+        frames = [np.vstack([np.eye(2), t * np.eye(2)]) for t in params]
+        frames[6] = np.vstack([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NonLagrangianError, match=r"frame at parameter 3\.0 is not"):
             path_maslov_index(frames, params)
+
+
+class TestFrameStacks:
+    def test_stack_results_equal_the_per_frame_results(self):
+        rng = np.random.default_rng(19)
+        frames = np.array([random_lagrangian(rng, 3) for _ in range(12)])
+        frames[4] = np.vstack([np.zeros((3, 3)), np.eye(3)])
+        frames[7] = np.vstack([np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])])
+        checks = check_lagrangian(frames)
+        dims = dirichlet_intersection_dim(frames)
+        angles = maslov_angle(frames)
+        ws = unitary_reduction(frames)
+        for k, f in enumerate(frames):
+            single = check_lagrangian(f)
+            assert checks.rank_defect[k] == single.rank_defect
+            assert checks.asymmetry[k] == single.asymmetry
+            assert checks.passed[k] == single.passed
+            assert dims[k] == dirichlet_intersection_dim(f)
+            assert angles[k] == maslov_angle(f)
+            assert np.array_equal(ws[k], unitary_reduction(f))
+        assert list(dims[[4, 7]]) == [3, 1]
+
+    def test_leading_axes_are_kept(self):
+        frames = np.array([[line_frame(a), line_frame(a + 0.1)] for a in (0.2, 0.9, 1.6)])
+        assert unitary_reduction(frames).shape == (3, 2, 1, 1)
+        assert maslov_angle(frames).shape == (3, 2)
+        assert check_lagrangian(frames).asymmetry.shape == (3, 2)
+
+    def test_single_frame_gives_python_scalars(self):
+        f = line_frame(0.4)
+        rep = check_lagrangian(f)
+        assert type(rep.rank_defect) is int and type(rep.passed) is bool
+        assert type(dirichlet_intersection_dim(f)) is int
+        assert type(maslov_angle(f)) is float
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (0, 0), (5, 4, 3)])
+    def test_frame_that_is_not_2n_by_n_rejected(self, shape):
+        with pytest.raises(ValueError, match="2n x n"):
+            check_lagrangian(np.ones(shape))
 
 
 class TestResultTypes:
