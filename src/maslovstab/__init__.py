@@ -8,18 +8,14 @@ A radial spatial-dynamics module covers the shrinking-sphere mode systems
 and their exponential dichotomies.
 """
 
-from .evans import Contour, EvansValue, compare_counts, evans_at, winding_number
+from .evans import Contour, SpectralReport, compare_counts, winding_number
 from .flow import (
     FlowOptions,
-    SpectralReport,
     SquareReport,
-    asymptotic_splitting,
-    count_unstable_eigenvalues,
     detect_conjugate_points,
     evolve_unstable_frame,
     lambda_max_bound,
     maslov_square,
-    system_matrix,
 )
 from .models import (
     BUILTIN_NAMES,
@@ -63,7 +59,6 @@ from .symplectic import (
     MaslovIndexResult,
     check_lagrangian,
     dirichlet_intersection_dim,
-    maslov_angle,
     path_maslov_index,
     unitary_reduction,
 )

@@ -2,7 +2,9 @@
 
 Subcommands: prufer, spectrum, conjugate, square, evans, compare, radial,
 oracle, models.  Exit codes are contractual: 0 success, 1 input or
-computation error, 2 count disagreement from ``compare``.  All numeric
+computation error, 2 count disagreement from ``compare``.  ``compare``
+exits 1 on a pulse model with no conjugate point at the shift, which
+contradicts the pulse instability theorem.  All numeric
 output is written with 17 significant digits so values round-trip exactly;
 identical invocations produce byte-identical artifacts.
 
@@ -55,6 +57,11 @@ _OVERRIDE_RANGES = {
     "contour_samples": (8, 100_000, True),
     "count": (1, 10_000, True),
     "epsilon_shift": (0.0, float("inf"), False),
+    # beyond ~1000 the mode rates make the fitted trajectories stiff or
+    # overflow; k_max bounds a loop over Fourier modes
+    "d": (2, 1000, True),
+    "l": (0, 1000, True),
+    "k_max": (0, 10_000, True),
 }
 
 
@@ -326,27 +333,21 @@ def _cmd_compare(args):
 
 
 def _cmd_radial(args):
-    if args.dimension < 2:
-        raise CliUsageError("--d must be at least 2")
-    if args.mode < 0:
-        raise CliUsageError("--l must be nonnegative")
-    unstable, stable = radial.mode_exponents(args.dimension, args.mode)
+    unstable, stable = radial.mode_exponents(args.d, args.l)
     payload = {
-        "d": args.dimension,
-        "l": args.mode,
+        "d": args.d,
+        "l": args.l,
         "exponents": [unstable, stable],
-        "laplace_beltrami_eigenvalue": radial.laplace_beltrami_eigenvalue(
-            args.dimension, args.mode
-        ),
+        "laplace_beltrami_eigenvalue": radial.laplace_beltrami_eigenvalue(args.d, args.l),
         "cylinder_spectrum": [int(k) for k in radial.cylinder_spectrum(args.k_max)],
     }
-    if args.dimension >= 3:
-        proj = radial.DichotomyProjection.for_mode(args.dimension, args.mode)
+    if args.d >= 3:
+        proj = radial.DichotomyProjection.for_mode(args.d, args.l)
         fits = {}
         for name, direction in (
             ("unstable", proj.unstable_direction), ("stable", proj.stable_direction),
         ):
-            traj = radial.evolve_mode(args.dimension, args.mode, direction)
+            traj = radial.evolve_mode(args.d, args.l, direction)
             fits[name] = traj.fitted_rate
         payload["fitted_rates"] = fits
         payload["non_decaying"] = proj.non_decaying
@@ -446,8 +447,8 @@ def build_parser():
 
     p = subs.add_parser("radial", help="radial mode exponents and dichotomy")
     _add_output_args(p)
-    p.add_argument("--d", dest="dimension", type=int, required=True)
-    p.add_argument("--l", dest="mode", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
     p.add_argument("--k-max", type=int, default=5)
 
     p = subs.add_parser("oracle", help="finite-difference eigenvalue counts")
@@ -478,7 +479,10 @@ def main(argv=None):
         return 1
     try:
         _check_overrides(args)
-        code, summary = _HANDLERS[args.command](args)
+        # an overflow on the way to an error is not a second stderr line:
+        # every failure reaches the user as one MaslovStabError
+        with np.errstate(all="ignore"):
+            code, summary = _HANDLERS[args.command](args)
     except MaslovStabError as exc:
         _emit_error(exc, args.json_errors)
         return 1

@@ -1,50 +1,32 @@
-"""Evans-function evaluation and argument-principle winding counts.
+"""Evans-function winding counts and the one three-channel unstable count.
 
 The Evans value at lambda is the determinant of the 2n x 2n matrix whose
 column blocks span the solutions decaying at -infinity (evolved forward to
 the matching point) and at +infinity (evolved backward).  Zeros coincide
 with eigenvalues of the linearized operator.  Frames are renormalized by
 positive-diagonal QR during evolution, which rescales the determinant by a
-positive factor only: zeros and winding numbers are unaffected, and the
-sampled value stays continuous along contours.  Only the integer winding
-is contractual; the value is reproducible but scale-dependent.  The
-determinant, the contours and the winding routine live in ``flow``, whose
-top edge of the Maslov square counts zeros with them too.
+positive factor only, and a unit-modulus factor takes out the phase
+e^{iL Im(sum mu_- + sum mu_+)} that starting the frames at -+L puts in: E
+is analytic in lambda up to a positive factor, so its winding counts
+zeros and its sampled phase stays slow along contours.  Only the integer
+winding is contractual; the value is reproducible but scale-dependent.
+The batched determinant, the contours and the winding routine live in
+``flow``, whose top edge of the Maslov square counts zeros with them too.
+
+``compare_counts`` is the package's one unstable count: conjugate points,
+Evans winding and the finite-difference oracle, side by side.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import flow, oracle, parallel
-from .errors import ContourError
+from .errors import ContourError, InconsistencyError
 from .flow import Contour
 from .models import check_essential_stability
 
 
-@dataclass(frozen=True)
-class EvansValue:
-    lambda_: complex
-    value: complex
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("Evans value is not finite")
-
-
-def evans_at(model, lambda_, opts=None, x_match=0.0):
-    """Evans value at one spectral point.
-
-    The matching point defaults to x = 0; any point works and only changes
-    the value by a nonvanishing factor.
-    """
-    opts = (opts or flow.FlowOptions()).resolve(model)
-    value = flow._evans_values(model, [lambda_], opts, x_match=x_match)[0]
-    return EvansValue(lambda_=complex(lambda_), value=complex(value))
-
-
-def winding_number(model, contour, opts=None, x_match=0.0):
+def winding_number(model, contour, opts=None):
     """Winding of the Evans value around a contour = enclosed eigenvalue count.
 
     The phase is sampled as in ``flow._refined_contour_values``, which
@@ -53,7 +35,23 @@ def winding_number(model, contour, opts=None, x_match=0.0):
     within 0.1 of a nonnegative integer multiple of 2 pi.
     """
     opts = (opts or flow.FlowOptions()).resolve(model)
-    return flow._winding_and_values(model, contour, opts, x_match)[0]
+    return flow._winding_and_values(model, contour, opts)[0]
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    """Unstable-eigenvalue counts from the three channels."""
+
+    conjugate_count: int
+    winding_count: int
+    oracle_count: int
+    epsilon_shift: float
+    lambda_inf: float
+    events: tuple
+
+    @property
+    def agree(self):
+        return self.conjugate_count == self.winding_count == self.oracle_count
 
 
 def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
@@ -62,7 +60,8 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
     Conjugate points at lambda = epsilon_shift, the Evans winding over a
     contour enclosing (epsilon_shift, lambda_inf], and the FD oracle count
     above epsilon_shift.  The channels run independently; the report flags
-    disagreement rather than reconciling it.
+    disagreement rather than reconciling it.  A pulse with no conjugate
+    point contradicts the pulse instability theorem and raises.
     """
     stab = check_essential_stability(model)
     if not stab.stable:
@@ -73,7 +72,15 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
 
     def conjugate_channel():
         events = flow.detect_conjugate_points(model, epsilon_shift, opts)
-        return sum(e.multiplicity for e in events), events
+        count = sum(e.multiplicity for e in events)
+        if model.kind == "pulse" and count == 0:
+            # the theorem puts an eigenvalue above 0, not above the shift
+            raise InconsistencyError(
+                f"pulse model has no conjugate point at epsilon_shift = "
+                f"{epsilon_shift!r}, contradicting the pulse instability "
+                "theorem unless its eigenvalue lies in (0, epsilon_shift]"
+            )
+        return count, events
 
     def winding_channel():
         return winding_number(model, contour, opts)
@@ -94,7 +101,7 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
         conj_count, events = conjugate_channel()
         winding = winding_channel()
         oracle_count = oracle_channel()
-    return flow.SpectralReport(
+    return SpectralReport(
         conjugate_count=conj_count,
         winding_count=winding,
         oracle_count=oracle_count,

@@ -71,6 +71,11 @@ class FlowOptions:
                 f"truncation L = {L} leaves tail weight "
                 f"{math.exp(-model.decay_rate * L):.2e} >= {TRUNCATION_ADEQUACY:.0e}"
             )
+        if 2.0 * L > MAX_PATH_SAMPLES * self.renorm_every:
+            raise OptionsError(
+                f"[{-L!r}, {L!r}] needs more than {MAX_PATH_SAMPLES} "
+                f"renormalization segments of length {self.renorm_every!r}"
+            )
         return replace(self, truncation=float(L))
 
     def refined(self):
@@ -98,35 +103,6 @@ class SquareReport:
     @property
     def consistent(self):
         return self.net_index == 0 and not self.right_events and not self.bottom_events
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Unstable-eigenvalue counts from the independent channels."""
-
-    conjugate_count: int
-    winding_count: int = None
-    oracle_count: int = None
-    epsilon_shift: float = 1e-3
-    lambda_inf: float = None
-    events: tuple = ()
-
-    @property
-    def agree(self):
-        counts = {
-            c for c in (self.conjugate_count, self.winding_count, self.oracle_count)
-            if c is not None
-        }
-        return len(counts) == 1
-
-
-def system_matrix(model, x, lambda_):
-    """J B(x; lambda) = [[0, I], [lambda I - Q(x), 0]]."""
-    n = model.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = lambda_ * np.eye(n) - model.q(x)
-    return out
 
 
 def _normalized_eigenbasis(q_matrix):
@@ -162,17 +138,6 @@ def _asymptotic_frames(model, lams, side):
     unstable = np.concatenate([top, vecs * mus[:, None, :]], axis=1)
     stable = np.concatenate([top, -vecs * mus[:, None, :]], axis=1)
     return unstable, stable, mus
-
-
-def asymptotic_splitting(model, lambda_, side="minus"):
-    """Unstable and stable (2n, n) frames and decay rates of the asymptotic system.
-
-    Both frames are Lagrangian planes; see ``_asymptotic_frames``.
-    """
-    unstable, stable, mus = _asymptotic_frames(model, np.array([float(lambda_)]), side)
-    if not np.all(symplectic.check_lagrangian(np.concatenate([unstable, stable])).passed):
-        raise NonHyperbolicError("asymptotic frame failed the Lagrangian check")
-    return unstable[0], stable[0], mus[0]
 
 
 def propagate(model, lams, frames, xs, opts):
@@ -217,7 +182,7 @@ def propagate(model, lams, frames, xs, opts):
         )
         if not sol.success:
             raise SolverError(
-                f"frame evolution failed near x = {sol.t[-1]:.6g}: {sol.message}"
+                f"frame evolution failed on [{s0:.6g}, {s1:.6g}]: {sol.message}"
             )
         # the finished solver refers to itself through its RHS wrapper; free
         # its stage arrays now instead of letting them pile up until a full
@@ -396,23 +361,28 @@ def evans_determinant(model, lams, opts, x_match):
     U_- spans the solutions decaying at -infinity, evolved forward from -L;
     U_+ those decaying at +infinity, evolved backward from +L.  Both come
     out orthonormalized, which rescales the determinant by a positive
-    factor only.
+    factor only.  Starting from (v; +-mu v) at -+L instead of from the
+    solutions normalized at infinity multiplies the determinant by
+    e^{(sum mu_- + sum mu_+) L}; the unit-modulus factor
+    e^{-iL Im(sum mu_- + sum mu_+)} takes its phase out again, so the
+    value is analytic in lambda up to a positive factor and its phase does
+    not swing along a contour.  For real lams that factor is 1.
     """
     L = opts.truncation
-    unstable, _, _ = _asymptotic_frames(model, lams, "minus")
-    _, stable, _ = _asymptotic_frames(model, lams, "plus")
+    unstable, _, mu_minus = _asymptotic_frames(model, lams, "minus")
+    _, stable, mu_plus = _asymptotic_frames(model, lams, "plus")
     u_minus = propagate(model, lams, unstable, [-L, x_match], opts)[-1]
     s_plus = propagate(model, lams, stable, [L, x_match], opts)[-1]
-    return np.linalg.det(np.concatenate([u_minus, s_plus], axis=2)), u_minus
-
-
-def _evans_values(model, lams, opts, x_match=0.0):
-    """Batched Evans determinants at the given (complex) lambda values."""
-    lams = np.asarray(lams, dtype=complex)
-    return evans_determinant(model, lams, opts, x_match)[0]
+    values = np.linalg.det(np.concatenate([u_minus, s_plus], axis=2))
+    if np.iscomplexobj(values):
+        swing = L * (mu_minus.sum(axis=1) + mu_plus.sum(axis=1)).imag
+        values = values * np.exp(-1j * swing)
+    return values, u_minus
 
 
 ZERO_MARGIN = 1e-10
+# least distance of a contour from the essential spectrum
+CONTOUR_MARGIN = 1e-6
 # midpoint-insertion rounds a contour winding may take
 MAX_REFINE = 3
 
@@ -430,6 +400,12 @@ class Contour:
             raise ContourError(f"contour radius {self.radius!r} must be positive")
         if self.samples < 8:
             raise ContourError("need at least 8 contour samples")
+        # the four extreme points bound every other one
+        if not np.all(np.isfinite(self.point(np.arange(4) / 4))):
+            raise ContourError(
+                f"contour around {self.center!r} with radius {self.radius!r} "
+                "leaves the finite floats"
+            )
 
     @classmethod
     def enclosing(cls, lo, hi, samples=256):
@@ -441,13 +417,13 @@ class Contour:
         return self.center + self.radius * np.exp(2j * np.pi * np.asarray(t))
 
 
-def validate_contour(model, contour, margin=1e-6):
+def validate_contour(model, contour):
     """Reject contours that touch the essential spectrum (-inf, max eig]."""
     max_eig = check_essential_stability(model).max_eig_qinf
-    pts = contour.point(np.arange(contour.samples) / contour.samples)
+    pts = contour.point(np.append(np.arange(contour.samples) / contour.samples, 0.5))
     re, im = pts.real, pts.imag
     dist = np.where(re > max_eig, np.abs(pts - max_eig), np.abs(im))
-    bad = ~((re > max_eig) | (dist > margin))
+    bad = ~((re > max_eig) | (dist > CONTOUR_MARGIN))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ContourError(
@@ -473,26 +449,46 @@ def _contour_params(samples):
 
 
 def _integrated_points(contour):
-    """Points at the base parameters whose Evans values are integrated.
+    """Points whose Evans values are integrated for a contour.
 
     Q is real, so E(conj lambda) = conj E(lambda): on a contour centred on
     the real axis, conjugation maps parameter index k to m - k, and only
-    indices 0 .. m//2 are integrated; ``_mirrored`` supplies the rest.
+    indices 0 .. m//2 are integrated.  With odd m no base parameter falls
+    on t = 1/2, so that real-axis crossing follows as one more point.
+    ``_closed_loop`` supplies the rest.
     """
     m = contour.samples
-    stop = m // 2 + 1 if contour.center.imag == 0 else m
-    return contour.point(_contour_params(m)[:stop])
-
-
-def _mirrored(values, contour):
-    """The m open base values (t = 1 excluded) from those at the integrated points."""
+    ts = _contour_params(m)
     if contour.center.imag != 0:
-        return values
+        return contour.point(ts[:m])
+    ts = ts[: m // 2 + 1]
+    return contour.point(np.append(ts, 0.5) if m % 2 else ts)
+
+
+def _closed_loop(contour, integrated):
+    """Parameters, Evans values and base-sample mask around the closed
+    contour, from the values at ``_integrated_points``.
+
+    The m base samples come in parameter order and t = 1 repeats t = 0; on
+    a real-centred contour with odd m the value at t = 1/2 sits between
+    them as a non-base sample.
+    """
     m = contour.samples
-    return np.concatenate([values, np.conj(values[1 : (m + 1) // 2][::-1])])
+    ts = _contour_params(m)
+    values = integrated
+    if contour.center.imag == 0:
+        values = np.concatenate([integrated[: m // 2 + 1],
+                                 np.conj(integrated[1 : (m + 1) // 2][::-1])])
+    values = np.append(values, values[0])
+    base = np.arange(m + 1) < m
+    if contour.center.imag == 0 and m % 2:
+        k = (m + 1) // 2
+        ts, values, base = (np.insert(ts, k, 0.5), np.insert(values, k, integrated[-1]),
+                            np.insert(base, k, False))
+    return ts, values, base
 
 
-def _refined_contour_values(model, contour, opts, x_match, integrated=None):
+def _refined_contour_values(model, contour, opts, integrated=None):
     """Evans values around the closed contour and a mask of the base
     samples among them.
 
@@ -502,13 +498,9 @@ def _refined_contour_values(model, contour, opts, x_match, integrated=None):
     contour passing within the zero margin of an Evans zero.
     """
     validate_contour(model, contour)
-    ts = _contour_params(contour.samples)
     if integrated is None:
-        integrated = _evans_values(model, _integrated_points(contour), opts,
-                                   x_match=x_match)
-    base_values = _mirrored(integrated, contour)
-    values = np.append(base_values, base_values[0])  # closed: t=1 repeats t=0
-    base = np.arange(len(values)) < contour.samples
+        integrated = evans_determinant(model, _integrated_points(contour), opts, 0.0)[0]
+    ts, values, base = _closed_loop(contour, integrated)
     rounds = 0
     while True:
         mags = np.abs(values)
@@ -527,21 +519,20 @@ def _refined_contour_values(model, contour, opts, x_match, integrated=None):
                 "refinement rounds"
             )
         mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        mid_vals = _evans_values(model, contour.point(mid_ts % 1.0), opts,
-                                 x_match=x_match)
+        mid_vals = evans_determinant(model, contour.point(mid_ts % 1.0), opts, 0.0)[0]
         ts = np.insert(ts, bad + 1, mid_ts)
         values = np.insert(values, bad + 1, mid_vals)
         base = np.insert(base, bad + 1, False)
         rounds += 1
 
 
-def _winding_and_values(model, contour, opts, x_match=0.0, integrated=None):
+def _winding_and_values(model, contour, opts, integrated=None):
     """Winding number and the Evans values at the m base samples.
 
     ``opts`` must be resolved.  The final accumulated phase must sit within
     0.1 of a nonnegative integer multiple of 2 pi.
     """
-    values, base = _refined_contour_values(model, contour, opts, x_match, integrated)
+    values, base = _refined_contour_values(model, contour, opts, integrated)
     total = float(np.sum(_wrapped_diffs(np.angle(values))))
     winding = total / (2.0 * np.pi)
     nearest = int(np.round(winding))
@@ -591,7 +582,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     contours = [Contour.enclosing(a, b, samples=32) for a, b in ends]
     subs = [np.linspace(a, b, 33) for a, b in ends]
     circles = [_integrated_points(c) for c in contours]
-    values = _evans_values(model, np.concatenate(circles + subs), opts)
+    values = evans_determinant(model, np.concatenate(circles + subs), opts, 0.0)[0]
     on_circle = np.split(values[: sum(map(len, circles))], len(spans))
     on_axis = np.split(values[sum(map(len, circles)):].real, len(spans))
     frames_l = propagate(model, lams[spans.ravel()], frames_0[spans.ravel()],
@@ -660,33 +651,4 @@ def maslov_square(model, lambda_star, opts=None):
         net_index=int(net),
         lambda_star=float(lambda_star),
         lambda_inf=float(lambda_inf),
-    )
-
-
-def count_unstable_eigenvalues(model, opts=None, epsilon_shift=1e-3):
-    """Unstable-eigenvalue count from conjugate points at lambda = epsilon_shift.
-
-    The shift steps off the translation eigenvalue at zero.  For pulse
-    models a count of zero contradicts the instability theorem and raises.
-    ``evans.compare_counts`` adds the winding and oracle cross-checks.
-    """
-    stab = check_essential_stability(model)
-    if not stab.stable:
-        raise NonHyperbolicError(
-            f"essential spectrum is unstable (max asymptotic eigenvalue "
-            f"{stab.max_eig_qinf:.6g} >= 0)"
-        )
-    opts = (opts or FlowOptions()).resolve(model)
-    events = detect_conjugate_points(model, epsilon_shift, opts)
-    count = sum(e.multiplicity for e in events)
-    if model.kind == "pulse" and count < 1:
-        raise InconsistencyError(
-            "pulse model produced zero conjugate points, contradicting the "
-            "pulse instability theorem; treat as a numerical failure"
-        )
-    return SpectralReport(
-        conjugate_count=int(count),
-        epsilon_shift=float(epsilon_shift),
-        lambda_inf=lambda_ceiling(model, epsilon_shift, opts.truncation),
-        events=events,
     )

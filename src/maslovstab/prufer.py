@@ -107,12 +107,12 @@ def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
     return PruferTrajectory(lam, samples, float(sol.y[0, -1]), dense=sol)
 
 
-def _check_resonance(theta_end, tol=RESONANCE_TOL):
+def _check_resonance(theta_end):
     nearest = np.round(theta_end / np.pi) * np.pi
-    if abs(theta_end - nearest) < tol:
+    if abs(theta_end - nearest) < RESONANCE_TOL:
         raise BoundaryResonanceError(
-            f"theta(b) = {theta_end:.12g} is within {tol:.1e} of a multiple of pi; "
-            "lambda_star sits on (or too near) an eigenvalue"
+            f"theta(b) = {theta_end:.12g} is within {RESONANCE_TOL:.1e} of a multiple "
+            "of pi; lambda_star sits on (or too near) an eigenvalue"
         )
 
 

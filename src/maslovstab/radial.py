@@ -27,6 +27,8 @@ from scipy.integrate import solve_ivp
 from .errors import SolverError
 
 HARMONIC_LMAX = 8
+# distance from the stable or unstable direction that still counts as on it
+INIT_TOL = 1e-8
 
 
 def laplace_beltrami_eigenvalue(d, l):
@@ -122,7 +124,7 @@ class ModeTrajectory:
     initialization: str  # "stable" | "unstable" | "mixed"
 
 
-def _classify_init(init, proj, tol=1e-8):
+def _classify_init(init, proj):
     v = np.asarray(init, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -132,7 +134,7 @@ def _classify_init(init, proj, tol=1e-8):
         ("stable", proj.stable_direction),
         ("unstable", proj.unstable_direction),
     ):
-        if min(np.linalg.norm(v - direction), np.linalg.norm(v + direction)) < tol:
+        if min(np.linalg.norm(v - direction), np.linalg.norm(v + direction)) < INIT_TOL:
             return name
     return "mixed"
 
@@ -179,8 +181,13 @@ def evolve_mode(d, l, init, tau_range=(0.0, 10.0), rtol=1e-12):
     else:
         burn = tau_range[0] + min(0.6 * span, math.log(1e7) / gap if gap > 0 else 0.0)
         window = taus >= burn
-    norms = np.linalg.norm(states, axis=0)
-    coeffs = np.polyfit(taus[window], np.log(norms[window]), 1)
+    norms = np.linalg.norm(states, axis=0)[window]
+    if len(norms) < 2 or not np.all((norms > 0.0) & np.isfinite(norms)):
+        raise SolverError(
+            f"cannot fit a rate: the fit window holds {len(norms)} samples, or the "
+            "mode norm leaves the float range inside it"
+        )
+    coeffs = np.polyfit(taus[window], np.log(norms), 1)
     return ModeTrajectory(
         taus=taus,
         states=states.T,

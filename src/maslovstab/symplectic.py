@@ -36,6 +36,7 @@ RANK_TOL = 1e-10
 LAGR_TOL = 1e-8
 UNIT_TOL = 1e-8
 CROSSING_TOL = 1e-8
+DIRICHLET_TOL = 1e-6
 
 _TWO_PI = 2.0 * np.pi
 
@@ -96,7 +97,7 @@ def _per_frame(values, lead):
     return values.item() if lead == () else values
 
 
-def check_lagrangian(frames, rank_tol=RANK_TOL, asym_tol=LAGR_TOL):
+def check_lagrangian(frames):
     """Report rank defect of each frame and its symplectic asymmetry.
 
     The asymmetry is the spectral norm of A^T B - B^T A, i.e. the largest
@@ -106,11 +107,11 @@ def check_lagrangian(frames, rank_tol=RANK_TOL, asym_tol=LAGR_TOL):
     n = stack.shape[-1]
     s = np.linalg.svd(stack, compute_uv=False)
     scale = np.maximum(1.0, s[:, 0])
-    defect = np.sum(s <= rank_tol * scale[:, None], axis=1)
+    defect = np.sum(s <= RANK_TOL * scale[:, None], axis=1)
     a, b = stack[:, :n], stack[:, n:]
     asym = np.swapaxes(a, 1, 2) @ b - np.swapaxes(b, 1, 2) @ a
     asym_norm = np.linalg.norm(asym, 2, axis=(1, 2))
-    passed = (defect == 0) & (asym_norm <= asym_tol * scale**2)
+    passed = (defect == 0) & (asym_norm <= LAGR_TOL * scale**2)
     return LagrangianCheck(*(_per_frame(v, lead)
                              for v in (defect, asym_norm, s[:, -1], passed)))
 
@@ -158,36 +159,28 @@ def unitary_reduction(frames, params=None):
     return (v @ np.swapaxes(v, 1, 2)).reshape(lead + (n, n))
 
 
-def dirichlet_intersection_dim(frames, tol=1e-6):
+def dirichlet_intersection_dim(frames):
     """Dimension of the intersection with the Dirichlet plane {(0, v)}.
 
-    Counted two ways, which must agree: eigenvalues of W within tol of -1,
-    and singular values of the orthonormalized a-block below tol/2 (the two
-    spectra are related exactly by sigma(W + I) = 2 sigma(A)).
+    Counted two ways, which must agree: eigenvalues of W within
+    DIRICHLET_TOL of -1, and singular values of the orthonormalized a-block
+    below DIRICHLET_TOL/2 (the two spectra are related exactly by
+    sigma(W + I) = 2 sigma(A)).
     """
     stack, lead = _as_stack(frames)
     n = stack.shape[-1]
     eigs = np.linalg.eigvals(unitary_reduction(stack))
-    count_w = np.sum(np.abs(eigs + 1.0) <= tol, axis=1)
+    count_w = np.sum(np.abs(eigs + 1.0) <= DIRICHLET_TOL, axis=1)
     sing = np.linalg.svd(qr_positive(stack)[:, :n], compute_uv=False)
-    count_a = np.sum(sing <= tol / 2.0, axis=1)
+    count_a = np.sum(sing <= DIRICHLET_TOL / 2.0, axis=1)
     bad = np.flatnonzero(count_w != count_a)
     if len(bad) > 0:
         k = bad[0]
         raise IllConditionedError(
             f"Dirichlet intersection counts disagree: ker(W+I) gives {count_w[k]}, "
-            f"a-block rank defect gives {count_a[k]} (tol {tol:.1e})"
+            f"a-block rank defect gives {count_a[k]} (tol {DIRICHLET_TOL:.1e})"
         )
     return _per_frame(count_w, lead)
-
-
-def maslov_angle(frames):
-    """Angle theta in [0, 2pi) with e^{i theta} = det W."""
-    stack, lead = _as_stack(frames)
-    theta = np.angle(np.linalg.det(unitary_reduction(stack)))
-    theta = np.where(theta < 0.0, theta + _TWO_PI, theta)
-    theta = np.where(theta >= _TWO_PI, theta - _TWO_PI, theta)
-    return _per_frame(theta, lead)
 
 
 def _wrap_pi(x):

@@ -91,6 +91,11 @@ class TestBasics:
         assert "angle integration failed" in err
 
     @pytest.mark.parametrize("argv", [
+        ("evans", "--truncation", "1e300"),
+        ("spectrum", "--truncation", "1e300"),
+        ("evans", "--contour-center", "1.25", "1e300", "--contour-radius", "0.5"),
+        ("evans", "--contour-center", "1e300", "0",
+         "--contour-radius", "1.7976931348623157e308"),
         ("conjugate", "--lambda-star", "1e300"),
         ("square", "--lambda-star", "1e300"),
         ("evans", "--epsilon-shift", "1e300"),
@@ -111,24 +116,44 @@ class TestBasics:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] in (
             "OptionsError", "ContourError", "SeparationError", "CliUsageError",
-            "DiscretizationError",
+            "DiscretizationError", "SolverError",
         )
 
-    @pytest.mark.parametrize("argv", [
-        ("scalar_sech_pulse", "--contour-center", "1.25", "0",
-         "--contour-radius", "0.5", "--contour-samples", "8"),
-        ("allen_cahn_front", "--contour-samples", "11"),
-    ], ids=lambda argv: " ".join(argv))
-    def test_negative_winding_exit_one(self, capsys, argv):
-        # both contours are undersampled and wind -1 and -2 turns
-        model, *rest = argv
-        code, out, err = run(capsys, "--json-errors", "evans", "--model", model,
-                             *rest)
+    def test_negative_winding_exit_one(self, capsys, monkeypatch):
+        # E = 1 / (lambda - 1.25) winds -1 times around 1.25: no Evans
+        # function does, so the guard reads it as an undersampled contour
+        from maslovstab import flow
+
+        monkeypatch.setattr(flow, "evans_determinant",
+                            lambda model, lams, opts, x_match: (1.0 / (lams - 1.25), None))
+        code, out, err = run(capsys, "--json-errors", "evans",
+                             "--model", "scalar_sech_pulse", "--contour-center", "1.25",
+                             "0", "--contour-radius", "0.5", "--contour-samples", "64")
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         payload = json.loads(line)
         assert payload["error"] == "PhaseStepError"
-        assert "negative" in payload["message"]
+        assert "winding -1 is negative" in payload["message"]
+
+    # (contour, m) pairs that gave a wrong winding with exit 0 while the
+    # Evans values carried the phase of e^{(mu_- + mu_+) L}
+    @pytest.mark.parametrize("argv, winding", [
+        *[(("scalar_sech_pulse", m), 1) for m in (18, 30, 31)],
+        *[(("coupled_gradient_demo", m), 1)
+          for m in (13, 21, 25, 31, 47, 54, 57, 58, 59, 60)],
+        (("scalar_sech_pulse", 10, "--contour-center", "0.6", "0",
+          "--contour-radius", "0.4"), 0),
+    ], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_coarse_contour_is_right_or_exits_one(self, capsys, argv, winding):
+        model, samples, *rest = argv
+        code, out, err = run(capsys, "--json-errors", "evans", "--model", model,
+                             "--contour-samples", str(samples), *rest)
+        if code == 0:
+            assert out == f"winding={winding}"
+        else:
+            assert code == 1 and out == ""
+            (line,) = err.splitlines()
+            assert json.loads(line)["error"] == "PhaseStepError"
 
     @pytest.mark.parametrize("model", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_spectrum_omits_essential_spectrum(self, capsys, model):
@@ -227,16 +252,29 @@ class TestBasics:
 
     def test_compare_disagreement_exit_two(self, capsys, monkeypatch):
         from maslovstab import cli as cli_mod
-        from maslovstab.flow import SpectralReport
+        from maslovstab.evans import SpectralReport
 
         def fake_compare(model, opts, epsilon_shift, oracle_h):
             return SpectralReport(conjugate_count=1, winding_count=0,
-                                  oracle_count=1)
+                                  oracle_count=1, epsilon_shift=epsilon_shift,
+                                  lambda_inf=3.0, events=())
 
         monkeypatch.setattr(cli_mod.evans_mod, "compare_counts", fake_compare)
         code, out, _ = run(capsys, "compare", "--model", "scalar_sech_pulse")
         assert code == 2
         assert out.endswith("DISAGREE")
+
+    def test_pulse_without_conjugate_points_exit_one(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        monkeypatch.setattr(flow, "detect_conjugate_points", lambda *args: ())
+        code, out, err = run(capsys, "--json-errors", "compare",
+                             "--model", "scalar_sech_pulse")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "InconsistencyError"
+        assert "epsilon_shift = 0.001" in payload["message"]
 
 
 class TestArtifacts:
@@ -356,7 +394,6 @@ class TestWorkBudget:
         monkeypatch.setattr(flow, "evans_determinant", counting)
         out_file = tmp_path / "evans.csv"
         code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
-                           "--contour-center", "1.25", "0", "--contour-radius", "0.5",
                            "--contour-samples", "12", "--output", str(out_file))
         assert (code, out) == (0, "winding=1")
         # the base samples, then at least one round of refinement midpoints
@@ -430,39 +467,153 @@ def _finite_floats(lo, hi):
                      st.floats(allow_nan=False, allow_infinity=False))
 
 
+EXTREMES = [1e300, -1e300, 5e-324, 1.7976931348623157e308]
+MODELS = st.sampled_from(["scalar_sech_pulse", "allen_cahn_front",
+                          "coupled_gradient_demo"])
+
+
+def _plausible_or_extreme(lo, hi):
+    """Values in [lo, hi] or one of the extreme finite floats."""
+    return st.floats(lo, hi) | st.sampled_from(EXTREMES)
+
+
+def _options(**values):
+    """``--flag=value`` arguments for the options that are not None."""
+    argv = []
+    for name, value in values.items():
+        if value is not None:
+            argv.append(f"--{name.replace('_', '-')}={value!r}")
+    return argv
+
+
+def _run_contract(argv, output, summary):
+    """Run argv under --json-errors, check the exit code and streams, and
+    return the exit code and the summary line.
+
+    Exit 0 or 2 prints one summary line matching ``summary`` and nothing on
+    stderr; exit 1 prints nothing on stdout and one JSON line on stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if output is not None:
+            argv = argv + ["--format", output, "--output", f"{tmp}/artifact.{output}"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--json-errors", *argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) >= {"error", "message"}
+    else:
+        assert re.fullmatch(summary, out.getvalue())
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+def _sampled_or_extreme(*plausible):
+    """None, one of the plausible values or an extreme, drawn from a list
+    so that no example runs a flow for minutes."""
+    return st.sampled_from([None, *plausible]) | st.sampled_from(EXTREMES)
+
+
+OUTPUTS = st.sampled_from([None, "csv", "json"])
+TRUNCATIONS = _sampled_or_extreme(12.0, 25.0)
+RTOLS = _sampled_or_extreme(1e-6, 1e-9)
+GRID_STEPS = _sampled_or_extreme(0.04)
+FLOAT = r"-?(\d+(\.\d*)?|inf)(e[-+]\d+)?"
+
+
 class TestOracleArgvProperty:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
-        model=st.sampled_from(["scalar_sech_pulse", "allen_cahn_front",
-                               "coupled_gradient_demo"]),
+        model=MODELS,
         lambda_star=_finite_floats(-1.0, 2.0),
         grid_step=st.none() | _finite_floats(0.01, 0.05),
         truncation=st.none() | _finite_floats(10.0, 60.0),
         count=st.none() | st.integers(1, 50) | st.integers(),
-        output=st.sampled_from([None, "csv", "json"]),
+        output=OUTPUTS,
     )
     def test_exit_code_and_streams(self, model, lambda_star, grid_step,
                                    truncation, count, output):
-        argv = ["--json-errors", "oracle", "--model", model,
-                f"--lambda-star={lambda_star!r}"]
-        for flag, value in (("--grid-step", grid_step),
-                            ("--truncation", truncation), ("--count", count)):
-            if value is not None:
-                argv.append(f"{flag}={value!r}")
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            if output is not None:
-                argv += ["--format", output, "--output", f"{tmp}/oracle.{output}"]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+        argv = ["oracle", "--model", model, f"--lambda-star={lambda_star!r}",
+                *_options(grid_step=grid_step, truncation=truncation, count=count)]
+        code, _ = _run_contract(argv, output, r"count=\d+\n")
         assert code in (0, 1)
-        if code == 0:
-            assert re.fullmatch(r"count=\d+\n", out.getvalue())
-            assert err.getvalue() == ""
-        else:
-            assert out.getvalue() == ""
-            (line,) = err.getvalue().splitlines()
-            assert set(json.loads(line)) >= {"error", "message"}
+
+
+class TestArgvProperty:
+    """Every counting command exits 0, 1 or 2 with clean streams, whatever
+    finite values its options get."""
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS, lambda_star=_plausible_or_extreme(-1.0, 2.0),
+           truncation=TRUNCATIONS, rtol=RTOLS, output=OUTPUTS)
+    def test_conjugate(self, model, lambda_star, truncation, rtol, output):
+        argv = ["conjugate", "--model", model,
+                *_options(lambda_star=lambda_star, truncation=truncation, rtol=rtol)]
+        assert _run_contract(argv, output, r"conjugate_points=\d+\n")[0] in (0, 1)
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS, lambda_star=_plausible_or_extreme(-1.0, 2.0),
+           truncation=TRUNCATIONS, rtol=RTOLS, output=OUTPUTS)
+    def test_square(self, model, lambda_star, truncation, rtol, output):
+        argv = ["square", "--model", model,
+                *_options(lambda_star=lambda_star, truncation=truncation, rtol=rtol)]
+        summary = r"net_index=-?\d+ left=\d+ top=\d+ right=\d+ bottom=\d+\n"
+        assert _run_contract(argv, output, summary)[0] in (0, 1)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS,
+           center=st.none() | st.tuples(st.sampled_from([1.25, 0.6, *EXTREMES]),
+                                        st.sampled_from([0.0, 0.1, *EXTREMES])),
+           radius=_sampled_or_extreme(0.5, 0.4),
+           samples=st.none() | st.integers(4, 64),
+           epsilon_shift=st.none() | _plausible_or_extreme(0.0, 0.5),
+           truncation=TRUNCATIONS, output=OUTPUTS)
+    def test_evans(self, model, center, radius, samples, epsilon_shift,
+                   truncation, output):
+        argv = ["evans", "--model", model,
+                *_options(contour_radius=radius, contour_samples=samples,
+                          epsilon_shift=epsilon_shift, truncation=truncation)]
+        if center is not None:
+            argv += ["--contour-center", repr(center[0]), repr(center[1])]
+        assert _run_contract(argv, output, r"winding=\d+\n")[0] in (0, 1)
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS, epsilon_shift=st.none() | _plausible_or_extreme(0.0, 2.0),
+           grid_step=GRID_STEPS, truncation=TRUNCATIONS, rtol=RTOLS)
+    def test_compare(self, model, epsilon_shift, grid_step, truncation, rtol):
+        argv = ["compare", "--model", model,
+                *_options(epsilon_shift=epsilon_shift, grid_step=grid_step,
+                          truncation=truncation, rtol=rtol)]
+        summary = r"conjugate=\d+ winding=\d+ oracle=\d+ (AGREE|DISAGREE)\n"
+        code, out = _run_contract(argv, "json", summary)
+        assert (code == 2) == out.endswith("DISAGREE\n")
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS, count=st.none() | st.integers(-1, 6), grid_step=GRID_STEPS,
+           truncation=TRUNCATIONS, output=OUTPUTS)
+    def test_spectrum(self, model, count, grid_step, truncation, output):
+        argv = ["spectrum", "--model", model,
+                *_options(count=count, grid_step=grid_step, truncation=truncation)]
+        summary = rf"eigenvalues=({FLOAT}(,{FLOAT})*)?\n"
+        assert _run_contract(argv, output, summary)[0] in (0, 1)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(model=MODELS, lambda_star=_plausible_or_extreme(-1.0, 2.0),
+           truncation=TRUNCATIONS, rtol=RTOLS, output=OUTPUTS)
+    def test_prufer(self, model, lambda_star, truncation, rtol, output):
+        argv = ["prufer", "--model", model,
+                *_options(lambda_star=lambda_star, truncation=truncation, rtol=rtol)]
+        assert _run_contract(argv, output, rf"theta_end={FLOAT}\n")[0] in (0, 1)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(d=st.integers(-1, 12) | st.sampled_from([999, 1001, 10**12]),
+           l=st.integers(-1, 12) | st.sampled_from([999, 1001, 10**12]),
+           k_max=st.none() | st.integers(-1, 12) | st.sampled_from([10_001, 10**12]))
+    def test_radial(self, d, l, k_max):
+        argv = ["radial", f"--d={d}", f"--l={l}", *_options(k_max=k_max)]
+        assert _run_contract(argv, "json", rf"exponents={FLOAT},{FLOAT}\n")[0] in (0, 1)
 
 
 class TestGolden:

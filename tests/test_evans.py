@@ -3,7 +3,7 @@ import pytest
 
 from maslovstab import flow
 from maslovstab.errors import ContourError, NonHyperbolicError
-from maslovstab.evans import Contour, compare_counts, evans_at, winding_number
+from maslovstab.evans import Contour, compare_counts, winding_number
 from maslovstab.models import builtin, constant_model
 
 SECH = builtin("scalar_sech_pulse")
@@ -11,38 +11,42 @@ FRONT = builtin("allen_cahn_front")
 DEMO = builtin("coupled_gradient_demo")
 
 
+def evans_values(model, lams, opts=None, x_match=0.0):
+    """Evans values at complex spectral points, from the batched determinant."""
+    opts = (opts or flow.FlowOptions()).resolve(model)
+    lams = np.asarray(lams, dtype=complex)
+    return flow.evans_determinant(model, lams, opts, x_match)[0]
+
+
 class TestEvansAt:
     def test_no_eigenvalue_above_top(self):
-        scale = abs(evans_at(SECH, 3.0).value)
+        (scale,) = abs(evans_values(SECH, [3.0]))
         assert scale > 0.0
 
     def test_vanishes_at_eigenvalue(self):
-        scale = abs(evans_at(SECH, 3.0).value)
-        at_eig = abs(evans_at(SECH, 1.25).value)
+        scale, at_eig = abs(evans_values(SECH, [3.0, 1.25]))
         assert at_eig < 1e-6 * scale
 
     def test_constant_model_never_vanishes(self):
         model = constant_model([[-1.0]])
         opts = flow.FlowOptions(truncation=12.0)
-        for lam in (0.5, 1.0, 2.0, 0.3 + 0.4j):
-            assert abs(evans_at(model, lam, opts).value) > 1e-3
+        assert np.all(abs(evans_values(model, [0.5, 1.0, 2.0, 0.3 + 0.4j], opts)) > 1e-3)
 
     def test_conjugation_symmetry(self):
-        for lam in (0.5 + 0.3j, 1.7 - 0.2j, 0.1 + 1.0j):
-            v1 = evans_at(SECH, lam).value
-            v2 = evans_at(SECH, np.conj(lam)).value
-            assert abs(v2 - np.conj(v1)) < 1e-7 * max(1.0, abs(v1))
+        lams = np.array([0.5 + 0.3j, 1.7 - 0.2j, 0.1 + 1.0j])
+        v1 = evans_values(SECH, lams)
+        v2 = evans_values(SECH, np.conj(lams))
+        assert np.all(abs(v2 - np.conj(v1)) < 1e-7 * np.maximum(1.0, abs(v1)))
 
     def test_matching_point_freedom(self):
         # zeros do not move with the matching point
         for x0 in (-1.0, 0.0, 2.0):
-            scale = abs(evans_at(SECH, 3.0, x_match=x0).value)
-            at_eig = abs(evans_at(SECH, 1.25, x_match=x0).value)
+            scale, at_eig = abs(evans_values(SECH, [3.0, 1.25], x_match=x0))
             assert at_eig < 1e-5 * scale
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
-            evans_at(SECH, -1.5)
+            evans_values(SECH, [-1.5])
 
 
 class TestWinding:
@@ -79,13 +83,19 @@ class TestSymmetricContour:
         opts = flow.FlowOptions().resolve(model)
         top = flow.lambda_ceiling(model, 1e-3, opts.truncation)
         contour = Contour.enclosing(1e-3, top, samples=samples)
-        values = flow._mirrored(
-            flow._evans_values(model, flow._integrated_points(contour), opts), contour)
-        assert len(values) == samples
+        integrated = flow.evans_determinant(model, flow._integrated_points(contour),
+                                            opts, 0.0)[0]
+        ts, values, base = flow._closed_loop(contour, integrated)
+        assert np.count_nonzero(base) == samples
+        assert np.array_equal(ts[base], flow._contour_params(samples)[:-1])
+        # odd m: t = 1/2, the second real-axis crossing, is sampled in order
+        assert list(ts[~base]) == ([0.5, 1.0] if samples % 2 else [1.0])
+        assert np.all(np.diff(ts) > 0)
+        values = values[base]
         lower = np.arange(samples // 2 + 1, samples)
         pts = contour.point(flow._contour_params(samples)[lower])
         assert np.all(pts.imag < 0)
-        direct = flow._evans_values(model, pts, opts)
+        direct = flow.evans_determinant(model, pts, opts, 0.0)[0]
         scale = np.max(np.abs(values))
         assert np.max(np.abs(values[lower] - direct)) <= 1e-8 * scale
 

@@ -3,21 +3,25 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import reference
 from maslovstab import flow, oracle, prufer, symplectic
-from maslovstab.errors import CountMismatchError, NonHyperbolicError, OptionsError
+from maslovstab.errors import (
+    ContourError,
+    CountMismatchError,
+    InconsistencyError,
+    NonHyperbolicError,
+    OptionsError,
+)
 from maslovstab.evans import compare_counts
 from maslovstab.flow import (
     FlowOptions,
-    asymptotic_splitting,
-    count_unstable_eigenvalues,
     detect_conjugate_points,
     evolve_unstable_frame,
     lambda_max_bound,
     maslov_square,
-    system_matrix,
 )
 from maslovstab.models import builtin, constant_model, from_config
 
@@ -27,59 +31,53 @@ DEMO = builtin("coupled_gradient_demo")
 
 
 class TestSystemMatrix:
-    def test_sech_center(self):
-        assert_allclose(system_matrix(SECH, 0.0, 0.0), [[0.0, 1.0], [-2.0, 0.0]])
+    def test_propagate_spans_the_exponential_plane(self):
+        # for constant Q the flow over [0, 1] is expm(J B) with
+        # J B = [[0, I], [lambda I - Q, 0]]
+        q = np.array([[-1.0, 0.4], [0.4, -2.0]])
+        model = constant_model(q)
+        opts = FlowOptions(truncation=12.0).resolve(model)
+        u0 = np.vstack([np.eye(2), [[0.3, -0.7], [-0.7, 1.1]]])
+        for lam in (0.5, 1.5 + 0.8j):
+            init = u0[None].astype(np.result_type(lam, float))
+            (frame,) = flow.propagate(model, np.array([lam]), init, [0.0, 1.0], opts)[-1]
+            jb = np.block([[np.zeros((2, 2)), np.eye(2)],
+                           [lam * np.eye(2) - q, np.zeros((2, 2))]])
+            expected = scipy.linalg.expm(jb) @ u0
+            assert reference.plane_distance(frame, expected) <= 1e-8
 
-    def test_far_field_limit(self):
-        m = system_matrix(SECH, -200.0, 0.0)
-        assert_allclose(m, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
-    def test_coupled_at_lambda_one(self):
-        m = system_matrix(DEMO, 0.0, 1.0)
-        expected = np.zeros((4, 4))
-        expected[:2, 2:] = np.eye(2)
-        expected[2:, :2] = np.diag([-1.0, 0.0])
-        assert_allclose(m, expected, atol=1e-14)
-
-    def test_hamiltonian_identity(self):
-        # (JB)^T J + J (JB) = 0 exactly for symmetric B
-        rng = np.random.default_rng(2)
-        j2 = np.block([
-            [np.zeros((2, 2)), -np.eye(2)],
-            [np.eye(2), np.zeros((2, 2))],
-        ])
-        for _ in range(20):
-            x = rng.uniform(-5, 5)
-            lam = rng.uniform(-1, 4)
-            m = system_matrix(DEMO, x, lam)
-            assert np.max(np.abs(m.T @ j2 + j2 @ m)) == 0.0
+def splitting(model, lam, side="minus"):
+    """Unstable and stable frames and rates of the asymptotic system at lam."""
+    unstable, stable, rates = flow._asymptotic_frames(model, np.array([float(lam)]), side)
+    return unstable[0], stable[0], rates[0]
 
 
 class TestAsymptoticSplitting:
     def test_sech_lambda_zero(self):
-        unstable, stable, rates = asymptotic_splitting(SECH, 0.0)
+        unstable, stable, rates = splitting(SECH, 0.0)
         assert_allclose(rates, [1.0])
         assert_allclose(unstable.ravel() / unstable[0, 0], [1.0, 1.0])
 
     def test_sech_lambda_three(self):
-        unstable, _, rates = asymptotic_splitting(SECH, 3.0)
+        unstable, _, rates = splitting(SECH, 3.0)
         assert_allclose(rates, [2.0])
         ratio = unstable[1, 0] / unstable[0, 0]
         assert_allclose(ratio, 2.0)
 
     def test_coupled_rates(self):
-        _, _, rates = asymptotic_splitting(DEMO, 0.0)
+        _, _, rates = splitting(DEMO, 0.0)
         assert_allclose(np.sort(rates), [1.0, np.sqrt(2.0)])
 
     def test_frames_lagrangian(self):
         for lam in (0.0, 1.0, 2.5):
-            unstable, stable, _ = asymptotic_splitting(DEMO, lam)
+            unstable, stable, _ = splitting(DEMO, lam)
             assert symplectic.check_lagrangian(unstable).passed
             assert symplectic.check_lagrangian(stable).passed
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
-            asymptotic_splitting(SECH, -1.5)
+            splitting(SECH, -1.5)
 
 
 class TestPropagate:
@@ -117,7 +115,7 @@ class TestEvolve:
     def test_constant_model_invariant_frame(self):
         model = constant_model([[-1.0]])
         _, frames = evolve_unstable_frame(model, 0.5, FlowOptions(truncation=12.0))
-        ref, _, _ = asymptotic_splitting(model, 0.5)
+        ref, _, _ = splitting(model, 0.5)
         dists = [reference.plane_distance(f, ref) for f in frames]
         assert max(dists) < 1e-6
 
@@ -327,13 +325,19 @@ class TestPairedEigenvalues:
 
 
 class TestCountUnstable:
-    def test_sech(self):
-        rep = count_unstable_eigenvalues(SECH)
-        assert rep.conjugate_count == 1
+    """The pulse check in the conjugate channel of ``compare_counts``."""
+
+    def test_sech(self, monkeypatch):
+        # a pulse with no conjugate point contradicts the instability theorem
+        monkeypatch.setattr(flow, "detect_conjugate_points", lambda *args: ())
+        with pytest.raises(InconsistencyError, match="epsilon_shift = 0.001"):
+            compare_counts(SECH)
 
     def test_front(self):
-        rep = count_unstable_eigenvalues(FRONT)
-        assert rep.conjugate_count == 0
+        # a front with no conjugate point is not a contradiction
+        assert FRONT.kind != "pulse"
+        rep = compare_counts(FRONT)
+        assert rep.conjugate_count == 0 and rep.agree
 
     def test_demo_matches_oracle(self):
         # the demo stacks one pulse block (eigenvalue 1.25) and one front
@@ -344,8 +348,8 @@ class TestCountUnstable:
         assert rep.agree
 
     def test_unstable_essential_spectrum_rejected(self):
-        with pytest.raises(NonHyperbolicError):
-            count_unstable_eigenvalues(constant_model([[0.5]]))
+        with pytest.raises(ContourError, match="essential spectrum is unstable"):
+            compare_counts(constant_model([[0.5]]))
 
 
 class TestRobustness:

@@ -12,7 +12,6 @@ from maslovstab.symplectic import (
     check_lagrangian,
     dirichlet_intersection_dim,
     eigenphases_from_minus_one,
-    maslov_angle,
     path_maslov_index,
     unitary_reduction,
 )
@@ -114,16 +113,22 @@ class TestDirichletIntersection:
             assert 0 <= d <= n
 
 
+def det_w_angle(frame):
+    """Angle theta in (-pi, pi] with e^{i theta} = det W."""
+    return np.angle(np.linalg.det(unitary_reduction(frame)))
+
+
 class TestMaslovAngle:
     def test_quarter_rotation(self):
-        assert_allclose(maslov_angle(line_frame(np.pi / 4)), 3 * np.pi / 2, atol=1e-12)
+        # 3 pi / 2 modulo 2 pi
+        assert_allclose(det_w_angle(line_frame(np.pi / 4)), -np.pi / 2, atol=1e-12)
 
     def test_zero(self):
-        assert maslov_angle(line_frame(0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert det_w_angle(line_frame(0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_dirichlet_plane_n2(self):
         f = np.vstack([np.zeros((2, 2)), np.eye(2)])
-        assert maslov_angle(f) == pytest.approx(0.0, abs=1e-12)
+        assert det_w_angle(f) == pytest.approx(0.0, abs=1e-12)
 
 
 def rotation_path(t_end, m=121):
@@ -250,7 +255,6 @@ class TestFrameStacks:
         frames[7] = np.vstack([np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])])
         checks = check_lagrangian(frames)
         dims = dirichlet_intersection_dim(frames)
-        angles = maslov_angle(frames)
         ws = unitary_reduction(frames)
         for k, f in enumerate(frames):
             single = check_lagrangian(f)
@@ -258,14 +262,12 @@ class TestFrameStacks:
             assert checks.asymmetry[k] == single.asymmetry
             assert checks.passed[k] == single.passed
             assert dims[k] == dirichlet_intersection_dim(f)
-            assert angles[k] == maslov_angle(f)
             assert np.array_equal(ws[k], unitary_reduction(f))
         assert list(dims[[4, 7]]) == [3, 1]
 
     def test_leading_axes_are_kept(self):
         frames = np.array([[line_frame(a), line_frame(a + 0.1)] for a in (0.2, 0.9, 1.6)])
         assert unitary_reduction(frames).shape == (3, 2, 1, 1)
-        assert maslov_angle(frames).shape == (3, 2)
         assert check_lagrangian(frames).asymmetry.shape == (3, 2)
 
     def test_single_frame_gives_python_scalars(self):
@@ -273,7 +275,6 @@ class TestFrameStacks:
         rep = check_lagrangian(f)
         assert type(rep.rank_defect) is int and type(rep.passed) is bool
         assert type(dirichlet_intersection_dim(f)) is int
-        assert type(maslov_angle(f)) is float
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (0, 0), (5, 4, 3)])
     def test_frame_that_is_not_2n_by_n_rejected(self, shape):
