@@ -119,16 +119,21 @@ class TestBasics:
             "DiscretizationError", "SolverError",
         )
 
-    def test_negative_winding_exit_one(self, capsys, monkeypatch):
-        # E = 1 / (lambda - 1.25) winds -1 times around 1.25: no Evans
-        # function does, so the guard reads it as an undersampled contour
+    @pytest.mark.parametrize("argv", [
+        ("scalar_sech_pulse", "--contour-center", "1.25", "0",
+         "--contour-radius", "0.5", "--contour-samples", "8"),
+        ("allen_cahn_front", "--contour-samples", "11"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_negative_winding_exit_one(self, capsys, monkeypatch, argv):
+        # E = 1 / (lambda - 1.25) winds -1 times around 1.25, which lies
+        # inside both contours: no Evans function does, so the guard reads
+        # it as an undersampled contour
         from maslovstab import flow
 
         monkeypatch.setattr(flow, "evans_determinant",
                             lambda model, lams, opts, x_match: (1.0 / (lams - 1.25), None))
-        code, out, err = run(capsys, "--json-errors", "evans",
-                             "--model", "scalar_sech_pulse", "--contour-center", "1.25",
-                             "0", "--contour-radius", "0.5", "--contour-samples", "64")
+        model, *rest = argv
+        code, out, err = run(capsys, "--json-errors", "evans", "--model", model, *rest)
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         payload = json.loads(line)

@@ -46,6 +46,54 @@ class TestSystemMatrix:
             expected = scipy.linalg.expm(jb) @ u0
             assert reference.plane_distance(frame, expected) <= 1e-8
 
+    @staticmethod
+    def short_step(model, lam, x, u0, delta):
+        """propagate over [x - delta, x + delta] at one real lambda."""
+        opts = FlowOptions().resolve(model)
+        return flow.propagate(model, np.array([lam]), u0[None],
+                              [x - delta, x + delta], opts)[-1, 0]
+
+    def test_sech_center(self):
+        # over a short step the plane moves by expm(2 delta J B(0; 0)),
+        # with J B = [[0, 1], [-2, 0]] at the centre of the sech pulse
+        u0 = np.array([[1.0], [0.5]])
+        delta = 1e-2
+        frame = self.short_step(SECH, 0.0, 0.0, u0, delta)
+        jb = np.array([[0.0, 1.0], [-2.0, 0.0]])
+        expected = scipy.linalg.expm(2 * delta * jb) @ u0
+        assert reference.plane_distance(frame, expected) <= 1e-5
+
+    def test_far_field_limit(self):
+        # at x = -200 the potential is its limit to 1e-12, J B = [[0, 1], [1, 0]]
+        u0 = np.array([[1.0], [-0.3]])
+        frame = self.short_step(SECH, 0.0, -200.0, u0, 0.5)
+        expected = scipy.linalg.expm(np.array([[0.0, 1.0], [1.0, 0.0]])) @ u0
+        assert reference.plane_distance(frame, expected) <= 1e-8
+
+    def test_coupled_at_lambda_one(self):
+        u0 = np.vstack([np.eye(2), [[0.3, -0.7], [-0.7, 1.1]]])
+        delta = 1e-2
+        frame = self.short_step(DEMO, 1.0, 0.0, u0, delta)
+        jb = np.zeros((4, 4))
+        jb[:2, 2:] = np.eye(2)
+        jb[2:, :2] = np.diag([-1.0, 0.0])
+        expected = scipy.linalg.expm(2 * delta * jb) @ u0
+        assert reference.plane_distance(frame, expected) <= 1e-5
+
+    def test_hamiltonian_identity(self):
+        # J B is Hamiltonian for symmetric B, so the flow is symplectic and
+        # carries a Lagrangian plane to a Lagrangian plane
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            x = rng.uniform(-5, 5)
+            lam = rng.uniform(-1, 4)
+            s = rng.standard_normal((2, 2))
+            u0 = np.vstack([np.eye(2), s + s.T])
+            frame = self.short_step(DEMO, lam, x, u0, 0.5)
+            assert symplectic.check_lagrangian(frame).passed
+            a, b = frame[:2], frame[2:]
+            assert np.max(np.abs(a.T @ b - b.T @ a)) <= 1e-8
+
 
 def splitting(model, lam, side="minus"):
     """Unstable and stable frames and rates of the asymptotic system at lam."""
