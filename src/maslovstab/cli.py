@@ -192,12 +192,16 @@ def _cmd_spectrum(args):
     model = _resolve_model(args)
     count = args.count
     opts = _flow_options(args).resolve(model)
+    edge = check_essential_stability(model).max_eig_qinf
     if model.n == 1:
         prob = prufer.ScalarProblem(
             q=lambda x: float(model.q(x)[0, 0]),
             interval=(-opts.truncation, opts.truncation),
         )
-        vals = prufer.find_eigenvalues(prob, count)
+        # only the eigenvalues above the edge are kept, and the angle
+        # theta(b; edge) / pi counts them
+        above = int(np.floor(prufer._theta_ends(prob, [edge], 1e-11)[0] / np.pi))
+        vals = prufer.find_eigenvalues(prob, min(count, above)) if above else np.empty(0)
         method = "prufer"
     else:
         disc = oracle.discretize(model, opts.truncation, args.grid_step)
@@ -205,7 +209,7 @@ def _cmd_spectrum(args):
         method = "oracle"
     # eigenvalues of the truncated problem inside the essential spectrum are
     # artifacts of the box, not eigenvalues of the operator on the line
-    vals = vals[vals > check_essential_stability(model).max_eig_qinf]
+    vals = vals[vals > edge]
     if args.output:
         if args.format == "json":
             _write_json(args.output, {"method": method,

@@ -401,10 +401,17 @@ class Contour:
         if self.samples < 8:
             raise ContourError("need at least 8 contour samples")
         # the four extreme points bound every other one
-        if not np.all(np.isfinite(self.point(np.arange(4) / 4))):
+        extremes = self.point(np.arange(4) / 4)
+        if not np.all(np.isfinite(extremes)):
             raise ContourError(
                 f"contour around {self.center!r} with radius {self.radius!r} "
                 "leaves the finite floats"
+            )
+        right, top, left, bottom = extremes
+        if not (left.real < right.real and bottom.imag < top.imag):
+            raise ContourError(
+                f"contour around {self.center!r} with radius {self.radius!r} "
+                "collapses below the float spacing of its centre"
             )
 
     @classmethod

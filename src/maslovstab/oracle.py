@@ -1,12 +1,17 @@
-"""Brute-force ground truth: banded finite-difference eigensolves.
+"""Brute-force ground truth: finite-difference eigenvalue counts.
 
 The operator d^2/dx^2 + Q(x) is discretized on a uniform grid over [-L, L]
 with Dirichlet truncation and the [1, -2, 1]/h^2 stencil, giving a symmetric
 block-tridiagonal matrix stored in banded form.  A count above lambda_star
-is one LAPACK banded eigensolve; lambda_star must lie above the essential
-spectrum, where the truncation creates no boundary modes.  The tests check
-the LAPACK results against an independently written Householder +
-Sturm-bisection solver (``tests/reference.py``).
+is an inertia count (Sylvester's law of inertia, with Haynsworth's
+additivity over Schur complements): block cyclic reduction of the matrix
+shifted by lambda_star -+ h^2 counts the positive eigenvalues of every block
+it eliminates.  lambda_star must lie above the essential spectrum, where the
+truncation creates no boundary modes.  LAPACK's banded eigensolver serves
+``eigenvalues`` and names an eigenvalue that lies too close to lambda_star;
+the tests check the inertia counts against it, and it against an
+independently written Householder + Sturm-bisection solver
+(``tests/reference.py``).
 """
 
 from dataclasses import dataclass, field
@@ -76,7 +81,12 @@ def discretize_interval(q, a, b, h, n=1):
     npt = int(npt)
     h_eff = (b - a) / (npt + 1)
     xs = a + h_eff * np.arange(1, npt + 1)
-    return Discretization(grid=xs, h=h_eff, n=n, band=_build_band(q, xs, h_eff, n))
+    band = _build_band(q, xs, h_eff, n)
+    finite = np.isfinite(band).all(axis=0)
+    if not finite.all():
+        x = float(xs[np.argmin(finite) // n])
+        raise DiscretizationError(f"potential is not finite at grid point x = {x!r}")
+    return Discretization(grid=xs, h=h_eff, n=n, band=band)
 
 
 def discretize(model, L, h):
@@ -98,10 +108,6 @@ def eigenvalues(disc, k=None):
         disc.band, lower=True, select="i", select_range=(disc.size - k, disc.size - 1)
     )
     return vals[::-1]
-
-
-def _gershgorin_upper(disc):
-    return float(np.max(disc.band[0]) + 2.0 * np.sum(np.abs(disc.band[1:]), axis=0).max())
 
 
 def oracle_count_above(model, L, h, lambda_star):
@@ -128,16 +134,78 @@ def _count_above(model, disc, lambda_star):
             f"lambda_star = {lambda_star!r} leaves no room in floating point "
             f"for the separation gap {gap:.3e}"
         )
-    # one solve returns every eigenvalue that is counted or too close; the
-    # range stays ordered when lambda_star exceeds the Gershgorin bound
-    upper = max(_gershgorin_upper(disc), lambda_star) + 1.0
-    vals = eigvals_banded(
-        disc.band, lower=True, select="v",
-        select_range=(lambda_star - gap, upper),
-    )
-    if len(vals) > 0 and vals[0] <= lambda_star + gap:
+    sigmas = np.array([lambda_star - gap, lambda_star + gap])
+    above, above_gap = _counts_above(disc, sigmas).tolist()
+    if above != above_gap:
+        # the only eigensolve: it names the eigenvalue inside the window
+        vals = eigvals_banded(disc.band, lower=True, select="v",
+                              select_range=tuple(sigmas))
+        which = f"eigenvalue {vals[0]:.9g}" if len(vals) else "an eigenvalue"
         raise SeparationError(
-            f"eigenvalue {vals[0]:.9g} lies within {gap:.3e} of "
-            f"lambda_star = {lambda_star!r}"
+            f"{which} lies within {gap:.3e} of lambda_star = {lambda_star!r}"
         )
-    return len(vals)
+    return above
+
+
+def _blocks(disc):
+    """Diagonal blocks (N, n, n) and sub-diagonal couplings (N-1, n, n)."""
+    n = disc.n
+    cols = disc.band.reshape(n + 1, -1, n)   # [offset, point, column in block]
+    diag = np.zeros((cols.shape[1], n, n))
+    lower = np.zeros((cols.shape[1] - 1, n, n))
+    for d in range(n + 1):
+        for c in range(n):
+            if c + d < n:
+                diag[:, c + d, c] = diag[:, c, c + d] = cols[d, :, c]
+            else:
+                lower[:, c + d - n, c] = cols[d, :-1, c]
+    return diag, lower
+
+
+def _counts_above(disc, sigmas):
+    """Number of eigenvalues above each shift, by Sylvester inertia.
+
+    Each round of block cyclic reduction eliminates every odd-numbered
+    block of the shifted matrix at once and leaves their Schur complement
+    on the even-numbered ones.  By Haynsworth's additivity of inertia, the
+    positive eigenvalues of all eliminated blocks (and of the last one)
+    number those of the whole matrix.  The shifts are stacked on the
+    leading axis; the cost is O(N n^3) over log2 N batched rounds.
+    """
+    diag, lower = _blocks(disc)
+    d = diag[None] - sigmas[:, None, None, None] * np.eye(disc.n)
+    c = np.broadcast_to(lower, (len(sigmas),) + lower.shape)
+    counts = 0
+    while d.shape[1] > 1:
+        odd = d[:, 1::2]
+        vals = _eigvalsh(odd, sigmas)
+        counts += np.count_nonzero(vals > 0, axis=(1, 2))
+        # odd block j couples to j - 1 through left[j] and to j + 1
+        # through right[j]; the last odd block may have no right neighbour
+        left, right = c[:, 0::2], c[:, 1::2]
+        k, m = odd.shape[1], right.shape[1]
+        try:
+            from_left = np.linalg.solve(odd, left)
+            from_right = np.linalg.solve(odd[:, :m], right.swapaxes(-1, -2))
+        except np.linalg.LinAlgError:
+            _singular(sigmas, vals)
+        even = d[:, 0::2].copy()
+        even[:, :k] -= left.swapaxes(-1, -2) @ from_left
+        even[:, 1:m + 1] -= right @ from_right
+        d, c = even, -right @ from_left[:, :m]
+    return counts + np.count_nonzero(_eigvalsh(d, sigmas) > 0, axis=(1, 2))
+
+
+def _eigvalsh(blocks, sigmas):
+    vals = np.linalg.eigvalsh(blocks)
+    if not np.all(np.isfinite(vals)):
+        _singular(sigmas, vals)
+    return vals
+
+
+def _singular(sigmas, vals):
+    k = int(np.argmin(np.nan_to_num(np.abs(vals), nan=0.0).min(axis=(1, 2))))
+    raise SeparationError(
+        f"the FD matrix shifted by {float(sigmas[k])!r} has a singular or "
+        "non-finite eliminated block"
+    )

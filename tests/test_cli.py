@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,9 @@ class TestBasics:
         ("conjugate", "--lambda-star", "1e-3", "--rtol", "1e-300"),
         ("oracle", "--lambda-star", "1e-3", "--grid-step", "1e-300",
          "--truncation", "1e300"),
+        # circles below the float spacing of their centre collapse
+        ("evans", "--contour-center", "1.25", "0", "--contour-radius", "1e-20"),
+        ("evans", "--contour-center", "1.25", "0", "--contour-radius", "5e-324"),
     ], ids=lambda argv: " ".join(argv))
     def test_extreme_finite_input_exit_one(self, capsys, argv):
         command, *rest = argv
@@ -170,6 +174,25 @@ class TestBasics:
         assert len(vals) == {"scalar_sech_pulse": 3, "coupled_gradient_demo": 4}[model]
         assert min(vals) > -1.0
 
+    def test_spectrum_count_stops_at_the_edge(self, capsys, monkeypatch):
+        # sech has three eigenvalues above its essential spectrum, so a
+        # --count of 10000 asks the Prufer route for three
+        from maslovstab import prufer
+
+        asked = []
+        find_eigenvalues = prufer.find_eigenvalues
+
+        def recording(prob, how_many):
+            asked.append(how_many)
+            return find_eigenvalues(prob, how_many)
+
+        monkeypatch.setattr(prufer, "find_eigenvalues", recording)
+        code, out, _ = run(capsys, "spectrum", "--model", "scalar_sech_pulse",
+                           "--count", "10000")
+        assert code == 0 and asked == [3]
+        vals = [float(v) for v in out.removeprefix("eigenvalues=").split(",")]
+        assert_allclose(vals, [1.25, 0.0, -0.75], atol=1e-6)
+
     def test_json_errors(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({k: v for k, v in SECH_CONFIG.items()
@@ -223,6 +246,20 @@ class TestBasics:
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["field"] == field
+
+    def test_potential_not_finite_on_the_grid_exit_one(self, capsys, tmp_path):
+        # finite at every validation sample, NaN wherever cos(50 pi x) < 0
+        entry = "-1 + 2*sech(x)**2 + 0*log(cos(x*157.07963267948966))"
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(
+            SECH_CONFIG, potential={"kind": "expression", "entries": [[entry]]})))
+        code, out, err = run(capsys, "--json-errors", "oracle",
+                             "--config", str(cfg), "--lambda-star", "0.5")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "DiscretizationError"
+        assert "not finite at grid point x = " in payload["message"]
 
     def test_config_model_runs(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"

@@ -1,8 +1,8 @@
 import json
+import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
@@ -15,7 +15,8 @@ from maslovstab.errors import (
     NonHyperbolicError,
     SeparationError,
 )
-from maslovstab.models import builtin, check_essential_stability
+from maslovstab.flow import FlowOptions
+from maslovstab.models import WaveModel, builtin, check_essential_stability
 
 
 class TestDiscretize:
@@ -46,6 +47,13 @@ class TestDiscretize:
     def test_memory_bound_enforced(self):
         with pytest.raises(DiscretizationError):
             oracle.discretize_interval(lambda x: 0.0, -300.0, 300.0, 0.01)
+
+    def test_non_finite_band_names_the_first_grid_point(self):
+        xs = np.pi / 63 * np.arange(1, 63)   # the grid h = 0.05 snaps to
+        first = float(xs[xs > 0.5][0])
+        with pytest.raises(DiscretizationError, match=re.escape(f"x = {first!r}")):
+            oracle.discretize_interval(lambda x: np.nan if x > 0.5 else 0.0,
+                                       0.0, np.pi, 0.05)
 
     def test_truncation_bound_enforced(self):
         with pytest.raises(DiscretizationError):
@@ -139,8 +147,11 @@ class TestIndependentReference:
             assert count == np.sum(reference > lam) == np.sum(full > lam)
 
 
-class TestSingleEigensolve:
-    def test_one_eigvals_banded_call_and_no_solve_banded(self, monkeypatch):
+class TestEigensolveBudget:
+    """A count is an inertia count; LAPACK only names a too-close eigenvalue."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
         eigvals_banded = oracle.eigvals_banded
 
@@ -148,17 +159,87 @@ class TestSingleEigensolve:
             calls.append(kwargs.get("select"))
             return eigvals_banded(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solve_banded called")
-
         monkeypatch.setattr(oracle, "eigvals_banded", counting)
-        monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)
-        assert not hasattr(oracle, "solve_banded")
+        return calls
+
+    def test_counts_make_no_eigensolve(self, calls):
         for name, lam, expected in (("scalar_sech_pulse", 1e-3, 1),
                                     ("coupled_gradient_demo", -0.5, 3)):
-            calls.clear()
             assert oracle.oracle_count_above(builtin(name), 40.0, 0.02, lam) == expected
-            assert calls == ["v"]
+        assert calls == []
+
+    def test_separation_error_makes_one_eigensolve(self, calls):
+        with pytest.raises(SeparationError) as info:
+            oracle.oracle_count_above(builtin("scalar_sech_pulse"), 40.0, 0.02, -0.75)
+        assert calls == ["v"]
+        assert str(info.value) == (
+            "eigenvalue -0.749966485 lies within 4.000e-04 of lambda_star = -0.75"
+        )
+
+    def test_singular_eliminated_block_names_the_shift(self):
+        # two unknowns: the shift equal to the second diagonal entry makes
+        # the one eliminated (odd) block exactly zero
+        disc = oracle.discretize_interval(lambda x: 0.0, 0.0, 0.15, 0.05)
+        shift = float(disc.band[0, 1])
+        with pytest.raises(SeparationError, match=re.escape(repr(shift))):
+            oracle._counts_above(disc, np.array([shift - 1.0, shift]))
+
+
+def _coupled_bump3():
+    """n = 3 bump on a negative-definite background, coupled in every entry."""
+    q_inf = -np.diag([0.8, 1.3, 2.1])
+    s = np.array([[1.5, 0.7, -0.4], [0.7, -0.5, 0.9], [-0.4, 0.9, 1.1]])
+    window = zoo.smooth_window(4.0)
+    return WaveModel(n=3, potential=lambda x: q_inf + s * window(x),
+                     q_minus=q_inf, q_plus=q_inf, decay_rate=2.0)
+
+
+def _agreement_models():
+    rng = np.random.default_rng(3)
+    pulses = [zoo.random_pulse_model(rng)[0] for _ in range(3)]
+    bumps = [zoo.random_bump_model(rng) for _ in range(3)]
+    return [builtin(name) for name in
+            ("scalar_sech_pulse", "allen_cahn_front", "coupled_gradient_demo")
+            ] + pulses + bumps + [_coupled_bump3()]
+
+
+@pytest.mark.parametrize("case", range(10), ids=[
+    "sech", "front", "demo", "pulse_a", "pulse_b", "pulse_c",
+    "bump_a", "bump_b", "bump_c", "bump_n3"])
+def test_inertia_count_matches_lapack(case):
+    # mid-gap shifts, and shifts 1e-6 (far below h^2, far above LAPACK's
+    # error) on either side of every eigenvalue above the edge
+    model = _agreement_models()[case]
+    disc = oracle.discretize(model, FlowOptions().resolve(model).truncation, 0.02)
+    edge = check_essential_stability(model).max_eig_qinf
+    vals = oracle.eigenvalues(disc, k=12)
+    top = vals[vals > edge]
+    assert len(top) < len(vals)
+    levels = np.concatenate([[max(vals[0], edge) + 1.0], top, [edge]])
+    shifts = np.concatenate([0.5 * (levels[1:] + levels[:-1]), top - 1e-6, top + 1e-6])
+    want = [int(np.sum(vals > s)) for s in shifts]
+    assert oracle._counts_above(disc, shifts).tolist() == want
+
+
+def test_c02_pulses_keep_their_oracle_outcomes():
+    # on 24 of the 50 acceptance pulses the FD translation eigenvalue lies
+    # within h^2 of lambda_star = 1e-3; pulse 31's lies above it
+    rng = np.random.default_rng(811)
+    refused, counts = [], {}
+    for k in range(50):
+        model, _ = zoo.random_pulse_model(rng)
+        L = FlowOptions().resolve(model).truncation
+        try:
+            counts[k] = oracle.oracle_count_above(model, L, 0.02, 1e-3)
+        except SeparationError as exc:
+            refused.append(k)
+            assert re.fullmatch(r"eigenvalue \S+ lies within \S+ of "
+                                r"lambda_star = 0\.001", str(exc))
+            if k == 2:
+                assert str(exc).startswith("eigenvalue 0.000793538779 ")
+    assert refused == [2, 3, 4, 5, 6, 11, 12, 13, 14, 16, 17, 19, 20, 24,
+                       27, 28, 29, 34, 35, 43, 44, 45, 46, 49]
+    assert counts[31] == 3
 
 
 class TestEssentialSpectrumRule:
