@@ -14,7 +14,11 @@ is a contractible loop, so its net Maslov index must vanish: conjugate
 points on the left edge (+1 each) balance eigenvalue crossings on the top
 edge (-1 each), and the right and bottom edges stay empty.  The top edge
 counts its crossings as zeros of the Evans function, by the same contour
-winding routine that serves the Evans channel (``evans``).
+winding routine that serves the Evans channel (``evans``).  The right edge
+is certified empty on the frames the top edge integrates at lambda_inf:
+with U = (X; Y), S = Y X^-1 obeys S' = (lambda - Q) - S^2, so it stays
+positive definite from S(-L) > 0 while lambda I - Q > 0, and X never turns
+singular.
 
 Frame stabilization: the evolved 2n x n frame is re-orthonormalized every
 ``renorm_every`` units of x by a QR factorization with positive diagonal,
@@ -140,6 +144,12 @@ def _asymptotic_frames(model, lams, side):
     return unstable, stable, mus
 
 
+def _segment_edges(x0, x1, opts):
+    """Renormalization points of [x0, x1], both ends included."""
+    n_seg = max(1, int(math.ceil(abs(x1 - x0) / opts.renorm_every)))
+    return np.linspace(x0, x1, n_seg + 1)
+
+
 def propagate(model, lams, frames, xs, opts):
     """Frames of U' = J B(x; lambda_k) U at each x in xs, for all k at once.
 
@@ -170,8 +180,7 @@ def propagate(model, lams, frames, xs, opts):
         out[:] = u
         return out
     sign = math.copysign(1.0, x1 - x0)
-    n_seg = max(1, int(math.ceil(abs(x1 - x0) / opts.renorm_every)))
-    edges = np.linspace(x0, x1, n_seg + 1)
+    edges = _segment_edges(x0, x1, opts)
     i = 0
     for s0, s1 in zip(edges[:-1], edges[1:]):
         j = int(np.searchsorted(sign * xs, sign * s1, side="right"))
@@ -207,13 +216,12 @@ def _sample_grid(model, lambda_, opts):
     # a NaN sample bounds nothing: fmax skips it
     bound = max(1.0, float(np.fmax.reduce(row_sums)) + abs(lambda_))
     step = min(opts.sample_dx, 0.7 / (2.0 * bound))
-    n_seg = max(1, int(math.ceil(2.0 * L / opts.renorm_every)))
     if 2.0 * L > MAX_PATH_SAMPLES * step:
         raise OptionsError(
             f"lambda = {lambda_!r} on [-{L}, {L}] needs more than "
             f"{MAX_PATH_SAMPLES} path samples"
         )
-    edges = np.linspace(-L, L, n_seg + 1)
+    edges = _segment_edges(-L, L, opts)
     xs = [edges[0]]
     for x0, x1 in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil((x1 - x0) / step)) + 1)
@@ -356,7 +364,8 @@ def lambda_ceiling(model, lambda_star, truncation):
 
 
 def evans_determinant(model, lams, opts, x_match):
-    """Evans values det[U_-(x_match) | U_+(x_match)] over lams, and U_-.
+    """Evans values det[U_-(x_match) | U_+(x_match)] over lams, and U_- at
+    the renormalization points of [-L, x_match], as (m + 1, K, 2n, n).
 
     U_- spans the solutions decaying at -infinity, evolved forward from -L;
     U_+ those decaying at +infinity, evolved backward from +L.  Both come
@@ -371,9 +380,9 @@ def evans_determinant(model, lams, opts, x_match):
     L = opts.truncation
     unstable, _, mu_minus = _asymptotic_frames(model, lams, "minus")
     _, stable, mu_plus = _asymptotic_frames(model, lams, "plus")
-    u_minus = propagate(model, lams, unstable, [-L, x_match], opts)[-1]
+    u_minus = propagate(model, lams, unstable, _segment_edges(-L, x_match, opts), opts)
     s_plus = propagate(model, lams, stable, [L, x_match], opts)[-1]
-    values = np.linalg.det(np.concatenate([u_minus, s_plus], axis=2))
+    values = np.linalg.det(np.concatenate([u_minus[-1], s_plus], axis=2))
     if np.iscomplexobj(values):
         swing = L * (mu_minus.sum(axis=1) + mu_plus.sum(axis=1)).imag
         values = values * np.exp(-1j * swing)
@@ -425,7 +434,14 @@ class Contour:
 
 
 def validate_contour(model, contour):
-    """Reject contours that touch the essential spectrum (-inf, max eig]."""
+    """Reject contours that touch the essential spectrum (-inf, max eig] or
+    that the truncated Evans function cannot resolve."""
+    floor = TRUNCATION_ADEQUACY * max(1.0, abs(contour.center))
+    if contour.radius < floor:
+        raise ContourError(
+            f"contour radius {contour.radius!r} lies below TRUNCATION_ADEQUACY * max(1, "
+            f"|center|) = {floor:.3e}, the least the truncated Evans function resolves"
+        )
     max_eig = check_essential_stability(model).max_eig_qinf
     pts = contour.point(np.append(np.arange(contour.samples) / contour.samples, 0.5))
     re, im = pts.real, pts.imag
@@ -570,9 +586,10 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     sub-grid minimum of |E|; more raise CountMismatchError.  Directions are
     the drift of the W-eigenvalue of U_-(+L) nearest -1 across the run
     (eigenvalue crossings come out -1, opposite to conjugate points).
+    lambda_inf's column rides along from -L to +L for ``_right_edge_empty``.
     """
     lams = np.linspace(lambda_star, lambda_inf, 129)
-    evans, frames_0 = evans_determinant(model, lams, opts, 0.0)
+    evans, left = evans_determinant(model, lams, opts, 0.0)
     size = np.abs(evans)
     flagged = np.sign(evans[:-1]) * np.sign(evans[1:]) < 0
     dips = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
@@ -581,6 +598,11 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     steps = np.diff(np.concatenate([[0], flagged.astype(int), [0]]))
     # (first, last) grid points of each run of flagged cells
     spans = np.stack([np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)], axis=1)
+    L = opts.truncation
+    cols = np.append(spans.ravel(), len(lams) - 1)
+    right = propagate(model, lams[cols], left[-1, cols], _segment_edges(0.0, L, opts), opts)
+    xs = np.concatenate([_segment_edges(-L, 0.0, opts), _segment_edges(0.0, L, opts)[1:]])
+    _right_edge_empty(xs, np.concatenate([left[:, -1], right[1:, -1]]), lambda_inf)
     if len(spans) == 0:
         return ()
     half = 0.5 * (lams[1] - lams[0])
@@ -592,9 +614,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     values = evans_determinant(model, np.concatenate(circles + subs), opts, 0.0)[0]
     on_circle = np.split(values[: sum(map(len, circles))], len(spans))
     on_axis = np.split(values[sum(map(len, circles)):].real, len(spans))
-    frames_l = propagate(model, lams[spans.ravel()], frames_0[spans.ravel()],
-                         [0.0, opts.truncation], opts)[-1]
-    phases = _crossing_phases(frames_l)
+    phases = _crossing_phases(right[-1, :-1])
     events = []
     for k, (contour, sub, vals) in enumerate(zip(contours, subs, on_axis)):
         winding, _ = _winding_and_values(model, contour, opts, integrated=on_circle[k])
@@ -622,6 +642,21 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     return tuple(events)
 
 
+def _right_edge_empty(xs, frames, lambda_inf):
+    """Raise unless sym(X^T Y) = X^T S X > DIRICHLET_TOL on every frame of
+    U_-(x; lambda_inf) at xs: then S = Y X^-1 stays positive definite."""
+    n = frames.shape[-1]
+    xty = np.swapaxes(frames[:, :n], 1, 2) @ frames[:, n:]
+    lows = np.linalg.eigvalsh(0.5 * (xty + np.swapaxes(xty, 1, 2)))[:, 0]
+    k = int(np.argmin(lows))
+    if not lows[k] > symplectic.DIRICHLET_TOL:
+        raise InconsistencyError(
+            f"unstable frame at lambda_inf = {lambda_inf!r} leaves S = Y X^-1 > 0 "
+            f"at x = {xs[k]:.4g}: smallest eigenvalue of sym(X^T Y) is "
+            f"{lows[k]:.3e} (limit {symplectic.DIRICHLET_TOL:.0e})"
+        )
+
+
 def _bottom_edge_empty(model, lambda_star, lambda_inf):
     """The frame at x = -L is the asymptotic unstable frame: never Dirichlet."""
     lams = np.linspace(lambda_star, lambda_inf, BOTTOM_EDGE_SAMPLES)
@@ -634,26 +669,23 @@ def maslov_square(model, lambda_star, opts=None):
 
     Left edge: conjugate points at lambda_star (x increasing).  Top edge:
     eigenvalues in (lambda_star, lambda_inf) at x = +L (lambda increasing).
-    Right and bottom edges are verified empty.  The net index around the
-    loop must be zero; a nonzero value is reported, never corrected.
+    The right and bottom edges are certified empty, the right one by
+    S = Y X^-1 > 0 on the top edge's frames at lambda_inf (``_right_edge_empty``),
+    so their events stay ().  The net index around the loop must be zero; a
+    nonzero value is reported, never corrected.
     """
     opts = (opts or FlowOptions()).resolve(model)
     lambda_inf = lambda_ceiling(model, lambda_star, opts.truncation)
     left = detect_conjugate_points(model, lambda_star, opts)
     top = _top_edge(model, lambda_star, lambda_inf, opts)
-    right = detect_conjugate_points(model, lambda_inf, opts)
     bottom_ok = _bottom_edge_empty(model, lambda_star, lambda_inf)
     if not bottom_ok:
         raise InconsistencyError("asymptotic frame at x = -L met the Dirichlet plane")
-    net = (
-        sum(e.signed_count for e in left)
-        + sum(e.signed_count for e in top)
-        - sum(e.signed_count for e in right)
-    )
+    net = sum(e.signed_count for e in left) + sum(e.signed_count for e in top)
     return SquareReport(
         left_events=left,
         top_events=top,
-        right_events=right,
+        right_events=(),
         bottom_events=(),
         net_index=int(net),
         lambda_star=float(lambda_star),

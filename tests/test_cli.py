@@ -318,6 +318,37 @@ class TestBasics:
         assert payload["error"] == "InconsistencyError"
         assert "epsilon_shift = 0.001" in payload["message"]
 
+    def test_spectrum_above_the_ceiling_exit_one(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        monkeypatch.setattr(flow, "lambda_ceiling", lambda *args: 1.0)
+        code, out, err = run(capsys, "--json-errors", "square",
+                             "--model", "scalar_sech_pulse", "--lambda-star", "1e-3")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "InconsistencyError"
+        assert "lambda_inf = 1.0" in payload["message"] and "at x = " in payload["message"]
+
+    @pytest.mark.parametrize("radius", ["1e-4", "1e-5", "1e-6", "1e-7"])
+    def test_small_contour_around_an_eigenvalue(self, capsys, radius):
+        code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
+                           "--contour-center", "1.25", "0", "--contour-radius", radius)
+        assert (code, out) == (0, "winding=1")
+
+    # these printed winding=0: the computed zero of E sits off 1.25 by more
+    # than the radius, and |E| barely varies around so small a circle
+    @pytest.mark.parametrize("radius", ["3e-10", "1e-10", "1e-12", "1e-14", "1e-15"])
+    def test_contour_below_the_truncation_floor_exit_one(self, capsys, radius):
+        code, out, err = run(capsys, "--json-errors", "evans", "--model",
+                             "scalar_sech_pulse", "--contour-center", "1.25", "0",
+                             "--contour-radius", radius)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ContourError"
+        assert "TRUNCATION_ADEQUACY * max(1, |center|) = 1.250e-08" in payload["message"]
+
 
 class TestArtifacts:
     def test_csv_round_trips_17_digits(self, capsys, tmp_path):
@@ -421,6 +452,28 @@ class TestWorkBudget:
         # the 129-point sweep, then one batch for the span around 1.25: the
         # upper half of its 32-sample circle and its 33-point real sub-grid
         assert sizes == [129, 32 // 2 + 1 + 33]
+
+    def test_square_samples_only_the_left_edge(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        detections, paths = [], []
+        detect, path = flow.detect_conjugate_points, flow._unstable_path
+
+        def detecting(model, lambda_star, *args):
+            detections.append(lambda_star)
+            return detect(model, lambda_star, *args)
+
+        def sampling(model, lambda_, opts):
+            paths.append(lambda_)
+            return path(model, lambda_, opts)
+
+        monkeypatch.setattr(flow, "detect_conjugate_points", detecting)
+        monkeypatch.setattr(flow, "_unstable_path", sampling)
+        code, out, _ = run(capsys, "square", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3")
+        assert (code, out) == (0, "net_index=0 left=1 top=1 right=0 bottom=0")
+        # the right edge at lambda_inf is certified on the top edge's frames
+        assert detections == [1e-3] and paths == [1e-3]
 
     def test_refined_evans_csv_keeps_the_base_samples(self, capsys, tmp_path,
                                                       monkeypatch):

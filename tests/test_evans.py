@@ -44,6 +44,17 @@ class TestEvansAt:
             scale, at_eig = abs(evans_values(SECH, [3.0, 1.25], x_match=x0))
             assert at_eig < 1e-5 * scale
 
+    def test_forward_frames_at_the_renormalization_points(self):
+        opts = flow.FlowOptions().resolve(DEMO)
+        L = opts.truncation
+        lams = np.array([0.5, 3.0])
+        _, frames = flow.evans_determinant(DEMO, lams, opts, 0.0)
+        assert frames.shape == (int(np.ceil(L)) + 1, 2, 4, 2)
+        unstable = flow._asymptotic_frames(DEMO, lams, "minus")[0]
+        # the same segments as an endpoint-only sweep, bit for bit
+        assert np.array_equal(frames[-1],
+                              flow.propagate(DEMO, lams, unstable, [-L, 0.0], opts)[-1])
+
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
             evans_values(SECH, [-1.5])

@@ -277,6 +277,26 @@ class TestWorkBudget:
         assert rep.net_index == 0
         assert shapes == [(65, 4, 2)]
 
+    @pytest.mark.parametrize("model, lam, opts", [
+        (FRONT, 0.02, None),
+        (constant_model([[-1.0]]), 1e-3, FlowOptions(truncation=12.0)),
+    ], ids=["front", "constant"])
+    def test_square_without_spans_checks_the_ceiling_once(self, monkeypatch, model,
+                                                          lam, opts):
+        shapes = []
+        check = flow._right_edge_empty
+
+        def recording(xs, frames, lambda_inf):
+            shapes.append(frames.shape)
+            return check(xs, frames, lambda_inf)
+
+        monkeypatch.setattr(flow, "_right_edge_empty", recording)
+        rep = maslov_square(model, lam, opts)
+        assert rep.top_events == () and rep.right_events == ()
+        # one frame per renormalization point of [-L, L]
+        L = (opts or FlowOptions()).resolve(model).truncation
+        assert shapes == [(2 * int(np.ceil(L)) + 1, 2, 1)]
+
 
 class TestMaslovSquare:
     def test_sech_near_zero(self):
@@ -297,6 +317,31 @@ class TestMaslovSquare:
         # 1.25 = -0.5 + 64 * 3.5 / 128 sits exactly on a top-edge grid point
         assert abs(tops[0] - 0.0) < 1e-6
         assert abs(tops[1] - 1.25) < 1e-6
+
+    def test_spectrum_above_the_ceiling_raises(self, monkeypatch):
+        # lambda_inf = 1 leaves the eigenvalue 1.25 above it: U_-(x; 1) meets
+        # the Dirichlet plane, and S = Y X^-1 turns indefinite on the way;
+        # its most negative frame lies on the [0, L] half
+        monkeypatch.setattr(flow, "lambda_ceiling", lambda *args: 1.0)
+        with pytest.raises(InconsistencyError,
+                           match=r"lambda_inf = 1.0 leaves S = Y X\^-1 > 0 at x = 0.9824: "
+                                 r"smallest eigenvalue of sym\(X\^T Y\) is -3.268e-01"):
+            maslov_square(SECH, 1e-3)
+
+    def test_ceiling_frames_stay_in_the_positive_cone(self, monkeypatch):
+        lows = []
+        check = flow._right_edge_empty
+
+        def recording(xs, frames, lambda_inf):
+            xty = np.swapaxes(frames[:, :1], 1, 2) @ frames[:, 1:]
+            lows.append(float(np.min(xty)))
+            return check(xs, frames, lambda_inf)
+
+        monkeypatch.setattr(flow, "_right_edge_empty", recording)
+        maslov_square(SECH, 1e-3)
+        # S(x) stays near sqrt(3 - Q(x)), between 1 and 2, so on orthonormal
+        # frames X^T S X = s / (1 + s^2) stays near 0.4-0.5, far above the limit
+        assert len(lows) == 1 and lows[0] > 0.3
 
     def test_constant_model_empty(self):
         model = constant_model([[-1.0]])
