@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import flow, oracle, parallel
-from .errors import ContourError, InconsistencyError
+from .errors import ContourError, InconsistencyError, SeparationError
 from .flow import Contour
 from .models import check_essential_stability
 
@@ -59,9 +59,11 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
 
     Conjugate points at lambda = epsilon_shift, the Evans winding over a
     contour enclosing (epsilon_shift, lambda_inf], and the FD oracle count
-    above epsilon_shift.  The channels run independently; the report flags
-    disagreement rather than reconciling it.  A pulse with no conjugate
-    point contradicts the pulse instability theorem and raises.
+    above epsilon_shift at steps oracle_h and oracle_h / 2, which must
+    agree (SeparationError otherwise).  The channels run independently;
+    the report flags disagreement rather than reconciling it.  A pulse
+    with no conjugate point contradicts the pulse instability theorem and
+    raises.
     """
     stab = check_essential_stability(model)
     if not stab.stable:
@@ -86,8 +88,18 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
         return winding_number(model, contour, opts)
 
     def oracle_channel():
-        return oracle.oracle_count_above(model, opts.truncation, oracle_h,
-                                         epsilon_shift)
+        # the FD error of an eigenvalue near the shift can move it across;
+        # a count that changes when the step halves is not trusted
+        coarse, fine = (
+            oracle.oracle_count_above(model, opts.truncation, h, epsilon_shift)
+            for h in (oracle_h, 0.5 * oracle_h)
+        )
+        if coarse != fine:
+            raise SeparationError(
+                f"FD oracle counts {coarse} at h = {oracle_h!r} and {fine} at "
+                f"h = {0.5 * oracle_h!r} differ above epsilon_shift = {epsilon_shift!r}"
+            )
+        return coarse
 
     if parallel.worker_count(3) > 1:
         with ThreadPoolExecutor(max_workers=parallel.worker_count(3)) as pool:

@@ -434,8 +434,9 @@ class Contour:
 
 
 def validate_contour(model, contour):
-    """Reject contours that touch the essential spectrum (-inf, max eig] or
-    that the truncated Evans function cannot resolve."""
+    """Reject contours that come within CONTOUR_MARGIN of the essential
+    spectrum (-inf, max eig] anywhere along the circle, or that the
+    truncated Evans function cannot resolve."""
     floor = TRUNCATION_ADEQUACY * max(1.0, abs(contour.center))
     if contour.radius < floor:
         raise ContourError(
@@ -443,21 +444,17 @@ def validate_contour(model, contour):
             f"|center|) = {floor:.3e}, the least the truncated Evans function resolves"
         )
     max_eig = check_essential_stability(model).max_eig_qinf
-    pts = contour.point(np.append(np.arange(contour.samples) / contour.samples, 0.5))
-    re, im = pts.real, pts.imag
-    dist = np.where(re > max_eig, np.abs(pts - max_eig), np.abs(im))
-    bad = ~((re > max_eig) | (dist > CONTOUR_MARGIN))
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    # the half-line is unbounded, so the disc cannot hold it: the circle
+    # misses it by the centre's distance less the radius
+    c = complex(contour.center)
+    reach = abs(c - max_eig) if c.real > max_eig else abs(c.imag)
+    gap = reach - contour.radius
+    if not gap > CONTOUR_MARGIN:
         raise ContourError(
-            f"contour point {pts[k]:.6g} touches the essential spectrum "
-            f"(-inf, {max_eig:.6g}]"
+            f"contour around {c:.6g} with radius {contour.radius:.6g} keeps a gap "
+            f"of {gap:.3e} <= {CONTOUR_MARGIN:.0e} from the essential spectrum "
+            f"(-inf, {max_eig:.6g}] (a negative gap crosses it)"
         )
-
-
-def _wrapped_diffs(phases):
-    d = np.diff(phases)
-    return np.arctan2(np.sin(d), np.cos(d))
 
 
 def _contour_params(samples):
@@ -532,7 +529,7 @@ def _refined_contour_values(model, contour, opts, integrated=None):
                 f"contour passes within the zero margin of an Evans zero "
                 f"(min |E| = {np.min(mags):.3e}, max |E| = {np.max(mags):.3e})"
             )
-        diffs = _wrapped_diffs(np.angle(values))
+        diffs = symplectic._wrap_pi(np.diff(np.angle(values)))
         bad = np.nonzero(np.abs(diffs) >= np.pi / 2)[0]
         if len(bad) == 0:
             return values, base
@@ -556,7 +553,7 @@ def _winding_and_values(model, contour, opts, integrated=None):
     0.1 of a nonnegative integer multiple of 2 pi.
     """
     values, base = _refined_contour_values(model, contour, opts, integrated)
-    total = float(np.sum(_wrapped_diffs(np.angle(values))))
+    total = float(np.sum(symplectic._wrap_pi(np.diff(np.angle(values)))))
     winding = total / (2.0 * np.pi)
     nearest = int(np.round(winding))
     if abs(winding - nearest) >= 0.1:
@@ -630,7 +627,8 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
             )
         if winding == 0:
             continue
-        direction = -1 if _wrapped_diffs(phases[2 * k : 2 * k + 2])[0] < 0 else 1
+        drift = symplectic._wrap_pi(np.diff(phases[2 * k : 2 * k + 2]))[0]
+        direction = -1 if drift < 0 else 1
         if len(hits) < winding:
             events.append(CrossingEvent(float(sub[np.argmin(mags)]), winding,
                                         direction))

@@ -28,7 +28,6 @@ parameter interval).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import IllConditionedError, NonLagrangianError, UndersampledPathError
 
@@ -184,10 +183,8 @@ def dirichlet_intersection_dim(frames):
 
 
 def _wrap_pi(x):
-    """Wrap to (-pi, pi]."""
+    """Wrap an array to (-pi, pi]."""
     y = np.mod(x + np.pi, _TWO_PI) - np.pi
-    if np.isscalar(y):
-        return y if y != -np.pi else np.pi
     y[y == -np.pi] = np.pi
     return y
 
@@ -199,41 +196,6 @@ def eigenphases_from_minus_one(w):
     beta increases when the eigenvalue moves counterclockwise.
     """
     return np.angle(-np.linalg.eigvals(w))
-
-
-def match_phases(beta_old, beta_new):
-    """Pair the two phase sets minimizing total circular movement."""
-    diff = _wrap_pi(beta_new[None, :] - beta_old[:, None])
-    rows, cols = linear_sum_assignment(np.abs(diff))
-    order = np.argsort(rows)
-    return cols[order], diff[rows[order], cols[order]]
-
-
-def _step_crossings(beta_old, dbeta, t0, t1, zero_tol, step_bound):
-    """Crossings of beta = 0 on the half-open step (t0, t1].
-
-    Returns a list of single crossing events.  A phase sitting at zero at t0
-    belongs to the previous step and is skipped; one arriving at zero at t1
-    is counted.
-    """
-    out = []
-    for b0, db in zip(beta_old, dbeta):
-        if abs(db) >= step_bound:
-            raise UndersampledPathError(
-                f"phase step {abs(db):.3f} rad >= {step_bound:.3f} on "
-                f"({float(t0)!r}, {float(t1)!r}]; refine the path sampling"
-            )
-        if abs(b0) <= zero_tol:
-            continue
-        b1 = b0 + db
-        crossed = (b0 < 0.0 and b1 > 0.0) or (b0 > 0.0 and b1 < 0.0)
-        arrived = abs(b1) <= zero_tol
-        if not crossed and not arrived:
-            continue
-        direction = 1 if db > 0 else -1
-        frac = abs(b0) / abs(db) if db != 0.0 else 1.0
-        out.append(CrossingEvent(float(t0 + frac * (t1 - t0)), 1, direction))
-    return out
 
 
 def _merge_events(events, span, merge_tol=1e-9):
@@ -269,17 +231,34 @@ def path_maslov_index(frames, params=None):
         raise ValueError("params length must match the number of frames")
 
     betas = eigenphases_from_minus_one(unitary_reduction(frames, params))
-    raw = []
-    for j in range(len(frames) - 1):
-        order, dbeta = match_phases(betas[j], betas[j + 1])
-        raw.extend(
-            _step_crossings(betas[j], dbeta, params[j], params[j + 1],
-                            CROSSING_TOL, np.pi / 2)
+    betas = np.sort(betas, axis=1)
+    old, new = betas[:-1], betas[1:]
+    # on the circle the least-movement pairing of two sorted phase sets is
+    # a cyclic shift of one against the other
+    n = frames.shape[-1]
+    shifted = np.stack([_wrap_pi(np.roll(new, -s, axis=1) - old) for s in range(n)])
+    best = np.argmin(np.sum(np.abs(shifted), axis=2), axis=0)
+    dbeta = shifted[best, np.arange(len(best))]
+    too_far = np.abs(dbeta) >= np.pi / 2
+    if np.any(too_far):
+        j, i = np.argwhere(too_far)[0]
+        raise UndersampledPathError(
+            f"phase step {abs(dbeta[j, i]):.3f} rad >= {np.pi / 2:.3f} on "
+            f"({float(params[j])!r}, {float(params[j + 1])!r}]; "
+            "refine the path sampling"
         )
-        betas[j + 1] = betas[j + 1][order]
+    # a phase sitting at zero at t0 belongs to the previous step; one
+    # arriving at zero at t1 is counted (half-open steps (t0, t1])
+    after = old + dbeta
+    hit = (np.abs(old) > CROSSING_TOL) & ((np.sign(old) * np.sign(after) < 0)
+                                         | (np.abs(after) <= CROSSING_TOL))
+    j, i = np.nonzero(hit)
+    t0, t1 = params[j], params[j + 1]
+    at = t0 + np.abs(old[j, i]) / np.abs(dbeta[j, i]) * (t1 - t0)
+    raw = [CrossingEvent(float(t), 1, 1 if d > 0 else -1)
+           for t, d in zip(at, dbeta[j, i])]
     span = abs(params[-1] - params[0])
     events = tuple(_merge_events(raw, span))
-    n = frames.shape[-1]
     for e in events:
         if e.multiplicity > n:
             raise IllConditionedError(

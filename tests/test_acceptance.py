@@ -123,6 +123,19 @@ def test_c04_square_identity(square_suite):
     )
 
 
+def test_square_ledgers_golden(square_suite, tmp_path, golden):
+    """Every event of the 50 suite squares, to 17 digits, against its golden copy."""
+    lines = ["case,model,lambda_star,edge,param,multiplicity,direction"]
+    for k, (model, lam_star, rep, _) in enumerate(square_suite):
+        for edge in ("left", "top", "right", "bottom"):
+            for e in getattr(rep, f"{edge}_events"):
+                lines.append(f"{k},{model.name},{lam_star:.17g},{edge},"
+                             f"{e.param:.17g},{e.multiplicity},{e.direction}")
+    out_file = tmp_path / "square_ledgers.csv"
+    out_file.write_text("\n".join(lines) + "\n")
+    golden(out_file, "square_ledgers.csv")
+
+
 def test_c05_monotonicity(square_suite):
     bad = []
     for model, lam_star, rep, _ in square_suite:

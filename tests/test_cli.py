@@ -349,6 +349,22 @@ class TestBasics:
         assert payload["error"] == "ContourError"
         assert "TRUNCATION_ADEQUACY * max(1, |center|) = 1.250e-08" in payload["message"]
 
+    # these printed winding=0 and winding=1 with exit 0: each arc crosses
+    # (-inf, -1] between two samples, and the discs hold -0.75 and {0, -0.75}
+    @pytest.mark.parametrize("center, radius", [
+        (("-1.0262", "0.0391"), "0.7158"), (("-0.9413", "0.6258"), "1.2427"),
+    ])
+    def test_contour_crossing_the_essential_spectrum_exit_one(self, capsys, center,
+                                                              radius):
+        code, out, err = run(capsys, "--json-errors", "evans", "--model",
+                             "scalar_sech_pulse", "--contour-center", *center,
+                             "--contour-radius", radius)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ContourError"
+        assert "(-inf, -1]" in payload["message"]
+
 
 class TestArtifacts:
     def test_csv_round_trips_17_digits(self, capsys, tmp_path):

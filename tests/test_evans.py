@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from maslovstab import flow
-from maslovstab.errors import ContourError, NonHyperbolicError
+from maslovstab.errors import ContourError, NonHyperbolicError, SeparationError
 from maslovstab.evans import Contour, compare_counts, winding_number
 from maslovstab.models import builtin, constant_model
+from zoo import random_bump_model, random_pulse_model
 
 SECH = builtin("scalar_sech_pulse")
 FRONT = builtin("allen_cahn_front")
@@ -87,6 +88,51 @@ class TestWinding:
         assert winding_number(SECH, contour) == 1
 
 
+class TestContourValidation:
+    @pytest.mark.parametrize("center, radius", [
+        (-1.0262 + 0.0391j, 0.7158), (-0.9413 + 0.6258j, 1.2427),
+    ])
+    def test_arc_crossing_between_samples_rejected(self, center, radius):
+        # every sample and t = 1/2 clear (-inf, -1]; the arc between two
+        # samples crosses it
+        contour = Contour(center=center, radius=radius)
+        pts = contour.point(np.append(np.arange(contour.samples) / contour.samples, 0.5))
+        assert np.all((pts.real > -1.0) | (np.abs(pts.imag) > flow.CONTOUR_MARGIN))
+        with pytest.raises(ContourError, match="negative gap crosses it"):
+            flow.validate_contour(SECH, contour)
+
+    def test_closed_form_agrees_with_dense_sampling(self):
+        rng = np.random.default_rng(1910)
+        max_eig = -1.0
+        t = np.arange(100_000) / 100_000
+        for _ in range(300):
+            center = complex(rng.uniform(-4.0, 2.0), rng.uniform(-2.0, 2.0))
+            radius = float(rng.uniform(1e-3, 3.0))
+            # the verdict must not depend on how finely the winding samples
+            contour = Contour(center=center, radius=radius,
+                              samples=int(rng.integers(8, 257)))
+            pts = contour.point(t)
+            dist = np.where(pts.real > max_eig, np.abs(pts - max_eig), np.abs(pts.imag))
+            # a chord with both ends left of max_eig whose ends straddle the
+            # real axis crosses the half-line
+            im = np.append(pts.imag, pts.imag[0])
+            left = np.maximum(pts.real, np.roll(pts.real, -1)) <= max_eig
+            meets = np.any(left & (im[:-1] * im[1:] <= 0))
+            # the distance to the half-line is 1-Lipschitz, so the circle's
+            # least distance lies within half a sample spacing below the
+            # sampled one
+            spacing = 2.0 * np.pi * radius / len(t)
+            try:
+                flow.validate_contour(SECH, contour)
+                accepted = True
+            except ContourError:
+                accepted = False
+            if meets or np.min(dist) <= flow.CONTOUR_MARGIN:
+                assert not accepted, (center, radius)
+            elif np.min(dist) - spacing > flow.CONTOUR_MARGIN:
+                assert accepted, (center, radius)
+
+
 class TestSymmetricContour:
     @pytest.mark.parametrize("samples", [64, 65])
     @pytest.mark.parametrize("model", [SECH, DEMO], ids=["sech", "demo"])
@@ -154,15 +200,21 @@ class TestCompareCounts:
         assert rep.agree
 
     def test_randomized_models_agree(self):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).parent))
-        from zoo import random_bump_model, random_pulse_model
-
         rng = np.random.default_rng(99)
         rep = compare_counts(random_bump_model(rng))
         assert rep.agree
         model, blocks = random_pulse_model(rng)
         rep = compare_counts(model)
         assert rep.agree and rep.conjugate_count == blocks
+
+    def test_step_dependent_oracle_count_raises(self):
+        # pulse 31 of the C02 family (rng 811) reported a false DISAGREE
+        # 2/2/3: at h = 0.02 the FD error of its translation eigenvalue puts
+        # it above the shift 1e-3, at h = 0.01 it sits below
+        rng = np.random.default_rng(811)
+        for _ in range(32):
+            model, blocks = random_pulse_model(rng)
+        assert blocks == 2
+        with pytest.raises(SeparationError,
+                           match=r"counts 3 at h = 0\.02 and 2 at h = 0\.01"):
+            compare_counts(model)

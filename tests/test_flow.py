@@ -218,6 +218,39 @@ class TestDetectConjugatePoints:
             for e in detect_conjugate_points(model, lam):
                 assert e.direction == 1
 
+    def test_mismatch_retries_once_at_refined_options(self, monkeypatch):
+        opts = FlowOptions().resolve(SECH)
+        first = flow._detect_events(SECH, 1e-3, opts)
+        refined = flow._detect_events(SECH, 1e-3, opts.refined())
+        seen = []
+        det_a_sign_changes = flow._det_a_sign_changes
+
+        def first_off_by_one(frames, n):
+            seen.append(len(frames))
+            return det_a_sign_changes(frames, n) + (len(seen) == 1)
+
+        monkeypatch.setattr(flow, "_det_a_sign_changes", first_off_by_one)
+        events, (xs, frames) = flow._conjugate_points_and_path(SECH, 1e-3, opts)
+        first_xs, first_frames = first[3]
+        assert seen == [len(first_xs), len(refined[3][0])]
+        assert events == refined[0] and events != first[0]
+        assert np.array_equal(xs, first_xs) and np.array_equal(frames, first_frames)
+
+    def test_mismatch_after_the_retry_raises(self, monkeypatch):
+        det_a_sign_changes = flow._det_a_sign_changes
+        seen = []
+
+        def off_by_one(frames, n):
+            seen.append(len(frames))
+            return det_a_sign_changes(frames, n) + 1
+
+        monkeypatch.setattr(flow, "_det_a_sign_changes", off_by_one)
+        with pytest.raises(CountMismatchError,
+                           match=r"sign changes \(2\) disagree with refined w-eigenvalue "
+                                 r"crossings \(1\) at lambda = 0\.001"):
+            detect_conjugate_points(SECH, 1e-3)
+        assert len(seen) == 2
+
 
 COUPLED_2X2 = {
     "n": 2, "kind": "custom", "decay_rate": 1.0,

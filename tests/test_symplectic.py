@@ -220,24 +220,52 @@ class TestPathMaslovIndex:
         assert len(_merge_events(events, 1.0, merge_tol=1e-9)) == 4
 
 
+class TestPhasePairing:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_decoupled_lines_overtaking_each_other(self, n):
+        # n lines at random speeds: their phases pass one another, so the
+        # sorted order changes between steps; line j at angle a crosses D
+        # where a = pi/2 mod pi, clockwise (-1) while a increases
+        rng = np.random.default_rng(n)
+        start = rng.uniform(-np.pi, np.pi, n)
+        speed = rng.uniform(-3.0, 3.0, n)
+        ts = np.linspace(0.0, 4.0, 801)
+        angles = start + speed * ts[:, None]
+        frames = np.zeros((len(ts), 2 * n, n))
+        frames[:, np.arange(n), np.arange(n)] = np.cos(angles)
+        frames[:, n + np.arange(n), np.arange(n)] = np.sin(angles)
+        want = []
+        for a0, w in zip(start, speed):
+            ks = np.arange(np.ceil((min(a0, a0 + 4 * w) - np.pi / 2) / np.pi),
+                           np.floor((max(a0, a0 + 4 * w) - np.pi / 2) / np.pi) + 1)
+            want += [((np.pi / 2 + k * np.pi - a0) / w, -int(np.sign(w))) for k in ks]
+        want.sort()
+        res = path_maslov_index(frames, ts)
+        assert res.index == sum(d for _, d in want)
+        assert [e.direction for e in res.events] == [d for _, d in want]
+        # two phases that pass each other and zero inside one step are
+        # paired without crossing, which moves those events within the step
+        assert_allclose([e.param for e in res.events], [t for t, _ in want],
+                        atol=ts[1] - ts[0])
+
+
 class TestBatchedPhases:
     @pytest.mark.parametrize("name", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_equal_the_per_frame_reduction(self, name, monkeypatch):
         xs, frames = evolve_unstable_frame(builtin(name), 1e-3)
         seen = []
-        match = symplectic.match_phases
+        phases = symplectic.eigenphases_from_minus_one
 
-        def recording(beta_old, beta_new):
-            if not seen:
-                seen.append(beta_old.copy())
-            # beta_new arrives as computed, before the matching reorders it
-            seen.append(beta_new.copy())
-            return match(beta_old, beta_new)
+        def recording(w):
+            # the phases as computed, before the pairing sorts them
+            seen.append(phases(w).copy())
+            return seen[-1].copy()
 
-        monkeypatch.setattr(symplectic, "match_phases", recording)
+        monkeypatch.setattr(symplectic, "eigenphases_from_minus_one", recording)
         path_maslov_index(frames, xs)
         want = np.array([eigenphases_from_minus_one(unitary_reduction(f)) for f in frames])
-        assert np.array_equal(np.array(seen).view(np.int64), want.view(np.int64))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
 
     def test_non_lagrangian_frame_names_its_parameter(self):
         params = 0.5 * np.arange(11)
