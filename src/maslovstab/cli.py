@@ -49,8 +49,8 @@ class _Parser(argparse.ArgumentParser):
 _OVERRIDE_RANGES = {
     # name: (lower, upper, inclusive-lower)
     "truncation": (0.0, float("inf"), False),
-    # the floor keeps FlowOptions.refined()'s halved rtol above DOP853's
-    # 100 eps clamp
+    # the floor stays above DOP853's 100 eps clamp, so the rtol asked for
+    # is the one used
     "rtol": (1e-13, 1e-2, True),
     "grid_step": (0.0, 0.05, False),
     "contour_radius": (0.0, float("inf"), False),
@@ -223,23 +223,16 @@ def _cmd_spectrum(args):
 def _cmd_conjugate(args):
     model = _resolve_model(args)
     opts = _flow_options(args).resolve(model)
-    events, path = flow._conjugate_points_and_path(model, args.lambda_star, opts)
+    events, (xs, frames) = flow._conjugate_points_and_path(model, args.lambda_star, opts)
     count = sum(e.multiplicity for e in events)
     if args.output:
-        xs, frames = flow._checked_path(*path)
         det_a = np.linalg.det(frames[:, :model.n])
-        params = np.array([e.param for e in events]) if events else np.array([])
-        rows = []
-        for x, det in zip(xs, det_a):
-            nearest = int(np.argmin(np.abs(params - x))) if len(params) else -1
-            hit = (
-                len(params) > 0
-                and abs(params[nearest] - x) <= 0.5 * opts.sample_dx
-            )
-            rows.append((
-                float(x), float(det), int(hit),
-                events[nearest].direction if hit else 0,
-            ))
+        # each event flags the one sample nearest to it
+        directions = [0] * len(xs)
+        for e in events:
+            directions[int(np.argmin(np.abs(xs - e.param)))] = e.direction
+        rows = [(float(x), float(det), int(d != 0), d)
+                for x, det, d in zip(xs, det_a, directions)]
         if args.format == "json":
             _write_json(args.output, {
                 "lambda_star": args.lambda_star,

@@ -9,7 +9,8 @@ whose asymptotic matrices are hyperbolic whenever lambda sits above the
 essential spectrum.  The plane of solutions decaying at -infinity is
 initialized from the unstable eigenspace at x = -L and evolved across
 [-L, L]; conjugate points are the x-values where it meets the Dirichlet
-plane.  The boundary of the rectangle [lambda_*, lambda_inf] x [-L, L]
+plane, and Atkinson's matrix Prufer angle certifies their count on the
+same frames (never the top edge's).  The boundary of the rectangle [lambda_*, lambda_inf] x [-L, L]
 is a contractible loop, so its net Maslov index must vanish: conjugate
 points on the left edge (+1 each) balance eigenvalue crossings on the top
 edge (-1 each), and the right and bottom edges stay empty.  The top edge
@@ -83,6 +84,7 @@ class FlowOptions:
         return replace(self, truncation=float(L))
 
     def refined(self):
+        """Halved tolerances; no caller here, the benchmark's spans wrap it."""
         return replace(self, rtol=self.rtol * 0.5, renorm_every=self.renorm_every * 0.5,
                        sample_dx=self.sample_dx * 0.5)
 
@@ -243,20 +245,16 @@ def evolve_unstable_frame(model, lambda_, opts=None):
 
     Returns the sample positions xs and the (len(xs), 2n, n) stack of
     orthonormalized frames.  Raises if the Lagrangian residual drifts beyond
-    ten times the frame tolerance anywhere along the path.
+    ``symplectic.DRIFT_TOL`` anywhere along the path.
     """
     opts = (opts or FlowOptions()).resolve(model)
-    return _checked_path(*_unstable_path(model, lambda_, opts))
-
-
-def _checked_path(xs, frames):
-    """The sampled path (xs, frames), drift-checked in one batch."""
+    xs, frames = _unstable_path(model, lambda_, opts)
     drifts = symplectic.check_lagrangian(frames).asymmetry
     k = int(np.argmax(drifts))
-    if drifts[k] > 10.0 * symplectic.LAGR_TOL:
+    if drifts[k] > symplectic.DRIFT_TOL:
         raise InconsistencyError(
             f"Lagrangian residual drifted to {drifts[k]:.3e} at x = {xs[k]:.4g} "
-            f"(limit {10.0 * symplectic.LAGR_TOL:.1e}); reduce rtol or renorm_every"
+            f"(limit {symplectic.DRIFT_TOL:.1e}); reduce rtol or renorm_every"
         )
     return xs, frames
 
@@ -286,15 +284,50 @@ def _refine_crossing(model, lambda_, x_lo, frame_lo, x_hi, xtol, opts):
     return brentq(beta, x_lo, x_hi, xtol=xtol)
 
 
-def _det_a_sign_changes(frames, n):
-    signs = np.sign(np.linalg.det(frames[:, :n]))
-    s = signs[signs != 0]
-    return int(np.sum(s[:-1] * s[1:] < 0))
+def _angle_count(model, lambda_, xs, frames):
+    """Conjugate-point count N (a float) of the orthonormal path frames
+    (X; Y) from the matrix Prufer angle Theta = arg det(X + iY).
+
+    Theta' = tr(X^T (lambda - Q) X) - tr(Y^T Y), unchanged by positive-
+    diagonal QR, is integrated by the trapezoid rule.  det W = e^{-2i Theta}
+    and each crossing drops the sum of W's eigen-angles phi in (-pi, pi] by
+    2 pi, so N = (sum phi(x_0) - sum phi(x_end) - 2 Delta Theta) / 2 pi.
+    """
+    n = model.n
+    x, y = frames[:, :n], frames[:, n:]
+    shifted = lambda_ * np.eye(n) - np.array([model.q(t) for t in xs])
+    rates = np.einsum("kji,kjl,kli->k", x, shifted, x) - np.sum(y * y, axis=(1, 2))
+    turn = np.trapezoid(rates, xs)
+    ends = np.angle(np.linalg.eigvals(symplectic.unitary_reduction(frames[[0, -1]])))
+    return float((ends[0].sum() - ends[1].sum() - 2.0 * turn) / (2.0 * np.pi))
 
 
-def _detect_events(model, lambda_star, opts):
+def detect_conjugate_points(model, lambda_star, opts=None):
+    """Conjugate points of the evolved plane, as crossing events in x.
+
+    Crossings are found from W-eigenvalue phases and refined by root
+    finding on the phase, re-integrated from the nearest recorded frame.
+    Their signed count must lie within 0.1 of the matrix Prufer angle count
+    ``_angle_count`` on the same frames, or CountMismatchError is raised.
+    """
+    opts = (opts or FlowOptions()).resolve(model)
+    return _conjugate_points_and_path(model, lambda_star, opts)[0]
+
+
+def _conjugate_points_and_path(model, lambda_star, opts):
+    """Conjugate points and the (xs, frames) path they were counted on.
+
+    ``opts`` must be resolved.  One path is integrated; its crossings are
+    certified by the angle count before they are refined.
+    """
     xs, frames = _unstable_path(model, lambda_star, opts)
     result = symplectic.path_maslov_index(frames, xs)
+    angle = _angle_count(model, lambda_star, xs, frames)
+    if not abs(angle - result.index) < 0.1:
+        raise CountMismatchError(
+            f"matrix Prufer angle count {angle:.6f} disagrees with the "
+            f"{result.index} signed w-eigenvalue crossings at lambda = {lambda_star!r}"
+        )
     span = xs[-1] - xs[0]
     xtol = max(1e-12 * span, 1e-13)
     refined = []
@@ -304,42 +337,8 @@ def _detect_events(model, lambda_star, opts):
         x_star = _refine_crossing(model, lambda_star, xs[k], frames[k], xs[k + 1],
                                   xtol, opts)
         refined.append(CrossingEvent(float(x_star), ev.multiplicity, ev.direction))
-    merged = symplectic._merge_events(refined, span, merge_tol=1e-7)
-    det_changes = _det_a_sign_changes(frames, model.n)
-    odd_events = sum(1 for e in merged if e.multiplicity % 2 == 1)
-    return tuple(merged), det_changes, odd_events, (xs, frames)
-
-
-def detect_conjugate_points(model, lambda_star, opts=None):
-    """Conjugate points of the evolved plane, as crossing events in x.
-
-    Crossings are found from W-eigenvalue phases and refined by root
-    finding on the phase, re-integrated from the nearest recorded frame;
-    the count must agree with the number of sign changes of det(a_block)
-    along the path.  On disagreement the evolution is retried once at
-    halved tolerances, then aborts.
-    """
-    opts = (opts or FlowOptions()).resolve(model)
-    return _conjugate_points_and_path(model, lambda_star, opts)[0]
-
-
-def _conjugate_points_and_path(model, lambda_star, opts):
-    """Conjugate points and the (xs, frames) path of the first attempt.
-
-    ``opts`` must be resolved.  The path is the one ``_unstable_path``
-    records at ``opts``, also when the detection is retried.
-    """
-    events, det_changes, odd_events, path = _detect_events(model, lambda_star, opts)
-    if det_changes != odd_events:
-        events, det_changes, odd_events, _ = _detect_events(
-            model, lambda_star, opts.refined()
-        )
-        if det_changes != odd_events:
-            raise CountMismatchError(
-                f"det(a) sign changes ({det_changes}) disagree with refined "
-                f"w-eigenvalue crossings ({odd_events}) at lambda = {lambda_star!r}"
-            )
-    return events, path
+    events = symplectic._merge_events(refined, span, merge_tol=1e-7)
+    return tuple(events), (xs, frames)
 
 
 def lambda_max_bound(model, truncation=None):

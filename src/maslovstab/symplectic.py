@@ -33,7 +33,7 @@ from .errors import IllConditionedError, NonLagrangianError, UndersampledPathErr
 
 RANK_TOL = 1e-10
 LAGR_TOL = 1e-8
-UNIT_TOL = 1e-8
+DRIFT_TOL = 10 * LAGR_TOL
 CROSSING_TOL = 1e-8
 DIRICHLET_TOL = 1e-6
 
@@ -136,23 +136,23 @@ def unitary_reduction(frames, params=None):
 
     Computed through the orthonormalized frame: for an orthonormal
     Lagrangian frame U = A + iB is unitary, so the inverse is U* and
-    W = conj(U) U*.  A non-unitary U (beyond UNIT_TOL) means the plane was
-    not Lagrangian; the NonLagrangianError names the first such frame's
-    entry of ``params`` when given.
+    W = conj(U) U*.  U* U - I = i(A^T B - B^T A): a spectral norm beyond
+    DRIFT_TOL means the plane is not Lagrangian, and the NonLagrangianError
+    names the first such frame's entry of ``params`` when given.
     """
     stack, lead = _as_stack(frames)
     n = stack.shape[-1]
     q = qr_positive(stack)
     a, b = q[:, :n], q[:, n:]
     u = a + 1j * b
-    residuals = np.linalg.norm(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(n), axis=(1, 2))
-    bad = np.flatnonzero(residuals > UNIT_TOL)
+    residuals = np.linalg.norm(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(n), 2, (1, 2))
+    bad = np.flatnonzero(residuals > DRIFT_TOL)
     if len(bad) > 0:
         k = bad[0]
         where = "" if params is None else f" at parameter {float(params[k])!r}"
         raise NonLagrangianError(
             f"frame{where} is not Lagrangian: unitarity residual {residuals[k]:.3e} "
-            f"exceeds {UNIT_TOL:.1e}"
+            f"exceeds {DRIFT_TOL:.1e}"
         )
     v = a - 1j * b
     return (v @ np.swapaxes(v, 1, 2)).reshape(lead + (n, n))

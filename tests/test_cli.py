@@ -318,6 +318,33 @@ class TestBasics:
         assert payload["error"] == "InconsistencyError"
         assert "epsilon_shift = 0.001" in payload["message"]
 
+    def test_angle_count_mismatch_exit_one(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        angle_count = flow._angle_count
+        monkeypatch.setattr(flow, "_angle_count", lambda *args: angle_count(*args) + 1.0)
+        code, out, err = run(capsys, "--json-errors", "conjugate",
+                             "--model", "scalar_sech_pulse", "--lambda-star", "1e-3")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "CountMismatchError"
+        assert re.search(r"angle count 2\.0+\d* disagrees with the 1 signed "
+                         r"w-eigenvalue crossings at lambda = 0\.001", payload["message"])
+
+    def test_slow_decay_n2_compare_fits_both_grids(self, capsys, tmp_path):
+        # at decay rate 0.3 the h/2 oracle grid holds 27,506 unknowns
+        cfg = tmp_path / "model.json"
+        entries = [["-1 + 3*sech(0.3*x)**2", "0.2*sech(0.3*x)"],
+                   ["0.2*sech(0.3*x)", "-0.8 + 2*sech(0.3*x)**2"]]
+        cfg.write_text(json.dumps({
+            "n": 2, "kind": "custom", "decay_rate": 0.3,
+            "potential": {"kind": "expression", "entries": entries},
+            "q_minus": [[-1.0, 0.0], [0.0, -0.8]], "q_plus": [[-1.0, 0.0], [0.0, -0.8]],
+        }))
+        code, out, _ = run(capsys, "compare", "--config", str(cfg))
+        assert (code, out) == (0, "conjugate=5 winding=5 oracle=5 AGREE")
+
     def test_spectrum_above_the_ceiling_exit_one(self, capsys, monkeypatch):
         from maslovstab import flow
 
@@ -386,6 +413,23 @@ class TestArtifacts:
                 "--lambda-star", "1e-3", "--output", str(out_file))
             files.append(out_file.read_bytes())
         assert files[0] == files[1]
+
+    def test_conjugate_csv_flags_one_row_per_event(self, capsys, tmp_path):
+        # strong potential: the sample step (0.032) is a third of sample_dx,
+        # and each event flags only the sample nearest to it
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(
+            SECH_CONFIG, kind="custom",
+            potential={"kind": "expression", "entries": [["-1 + 12*sech(x)**2"]]})))
+        out_file = tmp_path / "conjugate.csv"
+        code, out, _ = run(capsys, "conjugate", "--config", str(cfg),
+                           "--lambda-star", "1e-3", "--output", str(out_file))
+        assert (code, out) == (0, "conjugate_points=2")
+        with open(out_file) as fh:
+            flagged = [r for r in list(csv.reader(fh))[1:] if r[2] == "1"]
+        assert [r[3] for r in flagged] == ["1", "1"]
+        xs = [float(r[0]) for r in flagged]
+        assert xs[0] < 0 < xs[1]
 
     def test_square_csv_columns(self, capsys, tmp_path):
         out_file = tmp_path / "square.csv"
@@ -536,23 +580,32 @@ class TestWorkBudget:
 
     def test_conjugate_checks_the_drift_in_one_call(self, capsys, tmp_path,
                                                     monkeypatch):
-        from maslovstab import symplectic
+        from maslovstab import flow, symplectic
 
-        shapes = []
-        check = symplectic.check_lagrangian
+        paths, shapes = [], []
+        unstable_path = flow._unstable_path
+        reduction = symplectic.unitary_reduction
+
+        def sampling(model, lambda_, opts):
+            paths.append(lambda_)
+            return unstable_path(model, lambda_, opts)
 
         def recording(frames, *args, **kwargs):
             shapes.append(np.shape(frames))
-            return check(frames, *args, **kwargs)
+            return reduction(frames, *args, **kwargs)
 
-        monkeypatch.setattr(symplectic, "check_lagrangian", recording)
+        monkeypatch.setattr(flow, "_unstable_path", sampling)
+        monkeypatch.setattr(symplectic, "unitary_reduction", recording)
         out_file = tmp_path / "conjugate.csv"
         code, out, _ = run(capsys, "conjugate", "--model", "scalar_sech_pulse",
                            "--lambda-star", "1e-3", "--output", str(out_file))
         assert (code, out) == (0, "conjugate_points=1")
         with open(out_file) as fh:
             rows = len(list(csv.reader(fh))) - 1
-        assert shapes == [(rows, 2, 1)]
+        # the unitarity check of the phase count is the path's one
+        # Lagrangian check; the CSV writes the same frames
+        assert paths == [1e-3]
+        assert shapes.count((rows, 2, 1)) == 1
 
     def test_oracle_discretizes_once(self, capsys, tmp_path, monkeypatch):
         from maslovstab import oracle

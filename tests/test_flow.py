@@ -7,6 +7,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import reference
+import zoo
 from maslovstab import flow, oracle, prufer, symplectic
 from maslovstab.errors import (
     ContourError,
@@ -218,38 +219,47 @@ class TestDetectConjugatePoints:
             for e in detect_conjugate_points(model, lam):
                 assert e.direction == 1
 
-    def test_mismatch_retries_once_at_refined_options(self, monkeypatch):
-        opts = FlowOptions().resolve(SECH)
-        first = flow._detect_events(SECH, 1e-3, opts)
-        refined = flow._detect_events(SECH, 1e-3, opts.refined())
-        seen = []
-        det_a_sign_changes = flow._det_a_sign_changes
+    def test_angle_count_mismatch_raises(self, monkeypatch):
+        angle_count = flow._angle_count
+        unstable_path = flow._unstable_path
+        paths = []
 
-        def first_off_by_one(frames, n):
-            seen.append(len(frames))
-            return det_a_sign_changes(frames, n) + (len(seen) == 1)
+        def off_by_one(*args):
+            return angle_count(*args) + 1.0
 
-        monkeypatch.setattr(flow, "_det_a_sign_changes", first_off_by_one)
-        events, (xs, frames) = flow._conjugate_points_and_path(SECH, 1e-3, opts)
-        first_xs, first_frames = first[3]
-        assert seen == [len(first_xs), len(refined[3][0])]
-        assert events == refined[0] and events != first[0]
-        assert np.array_equal(xs, first_xs) and np.array_equal(frames, first_frames)
+        def recording(model, lambda_, opts):
+            paths.append(lambda_)
+            return unstable_path(model, lambda_, opts)
 
-    def test_mismatch_after_the_retry_raises(self, monkeypatch):
-        det_a_sign_changes = flow._det_a_sign_changes
-        seen = []
-
-        def off_by_one(frames, n):
-            seen.append(len(frames))
-            return det_a_sign_changes(frames, n) + 1
-
-        monkeypatch.setattr(flow, "_det_a_sign_changes", off_by_one)
+        monkeypatch.setattr(flow, "_angle_count", off_by_one)
+        monkeypatch.setattr(flow, "_unstable_path", recording)
         with pytest.raises(CountMismatchError,
-                           match=r"sign changes \(2\) disagree with refined w-eigenvalue "
-                                 r"crossings \(1\) at lambda = 0\.001"):
+                           match=r"angle count 2\.0000\d* disagrees with the 1 signed "
+                                 r"w-eigenvalue crossings at lambda = 0\.001"):
             detect_conjugate_points(SECH, 1e-3)
-        assert len(seen) == 2
+        assert paths == [1e-3]
+
+    @pytest.mark.parametrize("model", [SECH, FRONT, DEMO], ids=["sech", "front", "demo"])
+    @pytest.mark.parametrize("lam", [1e-3, -0.5, 0.7, 1.25 + 1e-9, 1.25 - 1e-9])
+    def test_angle_count_equals_the_signed_crossings(self, model, lam):
+        opts = FlowOptions().resolve(model)
+        events, (xs, frames) = flow._conjugate_points_and_path(model, lam, opts)
+        count = sum(e.signed_count for e in events)
+        assert abs(flow._angle_count(model, lam, xs, frames) - count) < 1e-4
+
+    def test_near_tolerance_n2_bump_counts_on_every_channel(self):
+        # an n = 2 bump whose path frames carry a Lagrangian residual of
+        # 2.2e-8, above LAGR_TOL but inside the drift limit DRIFT_TOL
+        rng = np.random.default_rng(102)
+        for _ in range(23):
+            model = zoo.random_bump_model(rng)
+            lam = rng.uniform(0.001, 0.5)
+        assert model.n == 2 and abs(lam - 0.046105) < 1e-6
+        rep = maslov_square(model, lam)
+        assert rep.net_index == 0 and sum(e.signed_count for e in rep.left_events) == 2
+        # the oracle counts at h = 0.02 and 0.01
+        report = compare_counts(model, epsilon_shift=lam)
+        assert (report.conjugate_count, report.winding_count, report.oracle_count) == (2, 2, 2)
 
 
 COUPLED_2X2 = {

@@ -92,6 +92,21 @@ class TestUnitaryReduction:
         with pytest.raises(NonLagrangianError):
             unitary_reduction(f)
 
+    @pytest.mark.parametrize("eps, accepted", [(4e-8, True), (6e-8, False)])
+    def test_unitarity_limit_is_the_drift_limit(self, eps, accepted):
+        # (I; eps K) with K antisymmetric has orthogonal columns, and its
+        # orthonormal frame carries the residual 2 eps / (1 + eps^2), in the
+        # spectral norm that check_lagrangian reports
+        k = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        f = np.vstack([np.eye(2), eps * k]) / np.sqrt(1.0 + eps**2)
+        assert_allclose(check_lagrangian(f).asymmetry, 2 * eps / (1 + eps**2), rtol=1e-6)
+        assert (check_lagrangian(f).asymmetry <= symplectic.DRIFT_TOL) == accepted
+        if accepted:
+            unitary_reduction(f)
+        else:
+            with pytest.raises(NonLagrangianError, match="exceeds 1.0e-07"):
+                unitary_reduction(f)
+
 
 class TestDirichletIntersection:
     def test_horizontal(self):
