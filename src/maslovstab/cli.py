@@ -199,8 +199,9 @@ def _cmd_spectrum(args):
             interval=(-opts.truncation, opts.truncation),
         )
         # only the eigenvalues above the edge are kept, and the angle
-        # theta(b; edge) / pi counts them
-        above = int(np.floor(prufer._theta_ends(prob, [edge], 1e-11)[0] / np.pi))
+        # mismatch at the edge counts them
+        x_m = prufer._q_peak(prob)[1]
+        above = int(np.floor(prufer._mismatch(prob, [edge], x_m, 1e-11)[0] / np.pi))
         vals = prufer.find_eigenvalues(prob, min(count, above)) if above else np.empty(0)
         method = "prufer"
     else:

@@ -53,8 +53,6 @@ TRUNCATION_ADEQUACY = 1e-8
 MAX_PATH_SAMPLES = 1_000_000
 # potential samples behind the spectral ceiling lambda_inf
 LAMBDA_MAX_SAMPLES = 4001
-# asymptotic frames checked along the bottom edge of the square
-BOTTOM_EDGE_SAMPLES = 65
 
 
 @dataclass(frozen=True)
@@ -654,13 +652,6 @@ def _right_edge_empty(xs, frames, lambda_inf):
         )
 
 
-def _bottom_edge_empty(model, lambda_star, lambda_inf):
-    """The frame at x = -L is the asymptotic unstable frame: never Dirichlet."""
-    lams = np.linspace(lambda_star, lambda_inf, BOTTOM_EDGE_SAMPLES)
-    unstable, _, _ = _asymptotic_frames(model, lams, "minus")
-    return not np.any(symplectic.dirichlet_intersection_dim(unstable))
-
-
 def maslov_square(model, lambda_star, opts=None):
     """Crossing ledger around the boundary of the Maslov square.
 
@@ -668,16 +659,15 @@ def maslov_square(model, lambda_star, opts=None):
     eigenvalues in (lambda_star, lambda_inf) at x = +L (lambda increasing).
     The right and bottom edges are certified empty, the right one by
     S = Y X^-1 > 0 on the top edge's frames at lambda_inf (``_right_edge_empty``),
-    so their events stay ().  The net index around the loop must be zero; a
-    nonzero value is reported, never corrected.
+    so their events stay ().  The bottom edge needs no check: its frames are
+    X = V, Y = V diag(mu) with mu > 0, so S(-L) > 0 and X is never singular.
+    The net index around the loop must be zero; a nonzero value is
+    reported, never corrected.
     """
     opts = (opts or FlowOptions()).resolve(model)
     lambda_inf = lambda_ceiling(model, lambda_star, opts.truncation)
     left = detect_conjugate_points(model, lambda_star, opts)
     top = _top_edge(model, lambda_star, lambda_inf, opts)
-    bottom_ok = _bottom_edge_empty(model, lambda_star, lambda_inf)
-    if not bottom_ok:
-        raise InconsistencyError("asymptotic frame at x = -L met the Dirichlet plane")
     net = sum(e.signed_count for e in left) + sum(e.signed_count for e in top)
     return SquareReport(
         left_events=left,

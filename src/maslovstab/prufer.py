@@ -7,9 +7,18 @@ and v_x = r cos(theta) decouples the angle:
 
 lambda is an eigenvalue exactly when theta(b; lambda) is a positive multiple
 of pi.  theta(b; .) decreases strictly in lambda, and theta passes every
-multiple of pi with slope one, so eigenvalue location, oscillation counts and
-conjugate points all reduce to reading this one scalar trajectory.  The
-radial amplitude r is never integrated.
+multiple of pi with slope one, so oscillation counts and conjugate points
+reduce to reading this one scalar trajectory.  The radial amplitude r is
+never integrated.
+
+Eigenvalues are located on the matched-point form of the same count, as in
+Sturm-Liouville codes (Pryce, *Numerical Solution of Sturm-Liouville
+Problems*, 1993): theta_L is shot forward from a and theta_R backward from
+b, both from 0, to an interior point x_m, and the mismatch
+Delta = theta_L(x_m) - theta_R(x_m) satisfies Delta(lambda_j) = (j+1) pi.
+On a long interval theta(b; .) drops through each multiple of pi within a
+lambda window of width ~ e^{-2 mu (b-a)}; Delta, matched where q peaks, is
+smooth there, so a root search can use its slope.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +34,7 @@ from .errors import (
     SolverError,
 )
 
-ANGLE_TOL = 1e-9
+ANGLE_TOL = 1e-10
 RESONANCE_TOL = 1e-7
 # interior points per open bracket in each round of find_eigenvalues
 MULTISECTION_POINTS = 15
@@ -63,11 +72,13 @@ class PruferTrajectory:
         return float(self.dense.sol(x)[0])
 
 
-def _angle_solution(prob, lams, rtol, dense_output=False):
+def _angle_solution(prob, lams, rtol, dense_output=False, span=None):
     """Integrate the angle equation for a vector of lambdas at once.
 
     The state holds one angle per lambda; every right-hand side evaluation
     reads q once, so a batch costs about one shot's worth of solver steps.
+    `span` defaults to the whole interval (a, b); the angle starts at 0 at
+    its first end.
     """
     lams = np.asarray(lams, dtype=float)
     q = prob.q
@@ -78,7 +89,7 @@ def _angle_solution(prob, lams, rtol, dense_output=False):
 
     sol = solve_ivp(
         rhs,
-        prob.interval,
+        prob.interval if span is None else span,
         np.zeros(len(lams)),
         method="DOP853",
         rtol=rtol,
@@ -95,6 +106,19 @@ def _angle_solution(prob, lams, rtol, dense_output=False):
 def _theta_ends(prob, lams, rtol):
     """theta(b; lambda) for every lambda in `lams`, from one integration."""
     return _angle_solution(prob, lams, rtol).y[:, -1]
+
+
+def _mismatch(prob, lams, x_m, rtol):
+    """Delta(lambda) = theta_L(x_m) - theta_R(x_m) for every lambda in `lams`.
+
+    theta_L is shot forward from a and theta_R backward from b, both from
+    theta = 0, so the two batched integrations cost about one full shot.
+    Delta decreases strictly in lambda, and floor(Delta / pi) counts the
+    eigenvalues above lambda: Delta(lambda_j) = (j+1) pi.
+    """
+    left = _angle_solution(prob, lams, rtol, span=(prob.a, x_m)).y[:, -1]
+    right = _angle_solution(prob, lams, rtol, span=(prob.b, x_m)).y[:, -1]
+    return left - right
 
 
 def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
@@ -123,73 +147,109 @@ def count_eigenvalues_above(prob, lambda_star, rtol=1e-10):
     return int(np.floor(theta_end / np.pi))
 
 
-def _q_supremum(prob, samples=1001):
+def _q_peak(prob, samples=1001):
+    """max q over `samples` points of [a, b], and the matching point x_m: the
+    interior sample where q is largest."""
     xs = np.linspace(prob.a, prob.b, samples)
-    return max(prob.q(x) for x in xs)
+    qs = np.array([prob.q(x) for x in xs], dtype=float)
+    return float(qs.max()), float(xs[1 + np.argmax(qs[1:-1])])
 
 
 def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
-    """The top eigenvalues lambda_0 > lambda_1 > ... by lockstep multisection.
+    """The top eigenvalues lambda_0 > lambda_1 > ... by a lockstep root search.
 
-    Solves theta(b; lambda_j) = (j+1) pi.  theta(b; .) is strictly
-    decreasing in lambda, so every evaluated (lambda, theta) pair narrows
-    the bracket of each target angle at once.  Each round places
-    MULTISECTION_POINTS interior points in every open bracket and evaluates
-    all of them in one batched shot, until every bracket is as narrow as
-    brentq's default tolerance.
+    Solves Delta(lambda_j) = (j+1) pi for the angle mismatch of ``_mismatch``,
+    matched at x_m, the interior sample where q peaks.  Delta is strictly
+    decreasing in lambda, so every evaluated (lambda, Delta) pair narrows the
+    bracket of each target angle at once, and each round evaluates all its
+    new points in one batched pair of shots.
 
-    On long intervals theta(b; .) drops through the target over a lambda
-    window of width ~ e^{-2 mu (b-a)}, often below float resolution; the
-    angle residual is then unattainable and a root is instead accepted when
-    its final bracket, a few ulps wide, still straddles the target angle.
+    Each round places MULTISECTION_POINTS points in every open bracket.  An
+    eigenfunction that lives near x_m makes Delta smooth in lambda, so the
+    points cluster around the regula falsi estimate of the root, at offsets
+    of 4^-1 down to 4^-7 bracket widths.  A bracket is split evenly instead,
+    as plain multisection would, when it holds several targets or when the
+    previous round's estimate for it came no closer to the root than an
+    even split would have.  A root is accepted at an evaluated lambda whose
+    mismatch is within angle_tol of its target.
+
+    An eigenfunction that lives far from x_m (in one well of several) makes
+    Delta a staircase near its eigenvalue: it drops by pi over a lambda
+    window of width ~ e^{-2 mu d}, d the distance from x_m, often below float
+    resolution.  The even splits then narrow the bracket until it is a few
+    ulps wide and still straddles the target, and its midpoint is accepted
+    as pinched.
     """
     if how_many < 1:
         raise ValueError("how_many must be >= 1")
     targets = np.pi * np.arange(1, how_many + 1)
-    q_sup = _q_supremum(prob)
+    q_sup, x_m = _q_peak(prob)
     hi = q_sup + 1.0
     lo = q_sup - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
     lams = np.array([hi, lo])
-    thetas = _theta_ends(prob, lams, rtol)
-    if thetas[0] >= targets[0]:
+    deltas = _mismatch(prob, lams, x_m, rtol)
+    if deltas[0] >= targets[0]:
         raise BracketError("upper bracket does not undershoot the target angle")
-    while thetas[-1] <= targets[-1]:
+    while deltas[-1] <= targets[-1]:
         if len(lams) > 60:
             raise BracketError(
-                f"could not bracket eigenvalue {how_many - 1}: theta(b) never "
-                f"exceeds {targets[-1]:.6g} down to lambda = {lo:.6g}"
+                f"could not bracket eigenvalue {how_many - 1}: the angle mismatch "
+                f"never exceeds {targets[-1]:.6g} down to lambda = {lo:.6g}"
             )
         lo = hi - 2.0 * (hi - lo)
         lams = np.append(lams, lo)
-        thetas = np.append(thetas, _theta_ends(prob, [lo], rtol))
-    fractions = np.arange(1, MULTISECTION_POINTS + 1) / (MULTISECTION_POINTS + 1)
+        deltas = np.append(deltas, _mismatch(prob, [lo], x_m, rtol))
+    even = np.arange(1, MULTISECTION_POINTS + 1) / (MULTISECTION_POINTS + 1)
+    scales = 4.0 ** -np.arange(1, MULTISECTION_POINTS // 2 + 1)
+    cluster = np.concatenate([[0.0], -scales, scales])
+    estimate = np.full(how_many, np.nan)
+    previous = np.zeros(how_many)
     while True:
         order = np.argsort(lams)
-        lams, thetas = lams[order], thetas[order]
-        # bracket of target j: the first lambda whose angle falls below it and
-        # the one before, whose angle does not
-        upper = np.argmax(thetas[None, :] < targets[:, None], axis=1)
+        lams, deltas = lams[order], deltas[order]
+        misfit = abs(deltas[None, :] - targets[:, None])
+        best = np.argmin(misfit, axis=1)
+        residuals = misfit.min(axis=1)
+        # bracket of target j: the first lambda whose mismatch falls below it
+        # and the one before, whose mismatch does not
+        upper = np.argmax(deltas[None, :] < targets[:, None], axis=1)
         lower_lam, upper_lam = lams[upper - 1], lams[upper]
         width = upper_lam - lower_lam
         xtol = 1e-13 + 8.9e-16 * np.maximum(abs(lower_lam), abs(upper_lam))
-        k = np.unique(upper[width > xtol])
-        fresh = lams[k - 1, None] + (lams[k] - lams[k - 1])[:, None] * fractions
+        open_ = (residuals >= angle_tol) & (width > xtol)
+        # last round's estimate earns a secant round if it came as close to
+        # the root as an even split of its bracket would have
+        miss = np.maximum(abs(estimate - lower_lam), abs(estimate - upper_lam))
+        trusted = np.isnan(estimate) | (miss * (MULTISECTION_POINTS + 1) <= previous)
+        shared = np.bincount(upper, minlength=len(lams))[upper] > 1
+        lo_d, hi_d = deltas[upper - 1], deltas[upper]
+        estimate = lower_lam + (lo_d - targets) / (lo_d - hi_d) * width
+        estimate[shared] = np.nan
+        previous = width
+        secant = open_ & trusted & ~shared
+        k = np.unique(upper[open_ & ~secant])
+        points = estimate[secant, None] + width[secant, None] * cluster
+        inside = (points > lower_lam[secant, None]) & (points < upper_lam[secant, None])
+        fresh = np.concatenate([
+            (lams[k - 1, None] + (lams[k] - lams[k - 1])[:, None] * even).ravel(),
+            points[inside],
+        ])
         fresh = np.setdiff1d(fresh, lams)
         if len(fresh) == 0:
             break
         lams = np.append(lams, fresh)
-        thetas = np.append(thetas, _theta_ends(prob, fresh, rtol))
+        deltas = np.append(deltas, _mismatch(prob, fresh, x_m, rtol))
+    hit = residuals < angle_tol
     mids = 0.5 * (lower_lam + upper_lam)
-    residuals = abs(_theta_ends(prob, mids, rtol) - targets)
     pinched = 0.5 * width <= 1e-9 * (1.0 + abs(mids))
-    failed = np.nonzero((residuals >= angle_tol) & ~pinched)[0]
+    failed = np.nonzero(~hit & ~pinched)[0]
     if len(failed):
         j = failed[0]
         raise BracketError(
             f"eigenvalue {j} refined to residual {residuals[j]:.3e} >= "
             f"{angle_tol:.1e} without a pinched bracket"
         )
-    return mids
+    return np.where(hit, lams[best], mids)
 
 
 def conjugate_points(prob, lambda_star, rtol=1e-10):

@@ -128,6 +128,18 @@ class TestAsymptoticSplitting:
         with pytest.raises(NonHyperbolicError):
             splitting(SECH, -1.5)
 
+    @pytest.mark.parametrize("model", [SECH, DEMO], ids=["sech", "demo"])
+    def test_bottom_edge_frames_sit_in_the_positive_cone(self, model):
+        # X = V, Y = V diag(mu) with mu > 0: sym(X^T Y) = diag(mu) > 0 on the
+        # whole bottom edge, so X is never singular there
+        lams = np.geomspace(1e-3, 1e12, 65)
+        unstable, _, rates = flow._asymptotic_frames(model, lams, "minus")
+        n = model.n
+        xty = np.swapaxes(unstable[:, :n], 1, 2) @ unstable[:, n:]
+        lows = np.linalg.eigvalsh(0.5 * (xty + np.swapaxes(xty, 1, 2)))[:, 0]
+        assert_allclose(lows, rates.min(axis=1), rtol=1e-12)
+        assert np.all(lows > 0.0)
+
 
 class TestPropagate:
     @pytest.mark.parametrize("model, lams", [
@@ -306,19 +318,21 @@ class TestWorkBudget:
         # only the refinement of the one crossing reduces single frames
         assert 0 < len(calls) < samples / 10
 
-    def test_square_checks_the_bottom_edge_in_one_call(self, monkeypatch):
-        shapes = []
+    def test_square_makes_no_dirichlet_intersection_call(self, monkeypatch):
+        # the bottom edge's frames never meet the Dirichlet plane (see
+        # test_bottom_edge_frames_sit_in_the_positive_cone), so the square
+        # checks none of them
+        calls = []
         intersection = symplectic.dirichlet_intersection_dim
 
         def recording(frames, *args, **kwargs):
-            shapes.append(np.shape(frames))
+            calls.append(np.shape(frames))
             return intersection(frames, *args, **kwargs)
 
         monkeypatch.setattr(symplectic, "dirichlet_intersection_dim", recording)
-        model = constant_model(np.diag([-1.0, -2.0]))
-        rep = maslov_square(model, 1e-3, FlowOptions(truncation=12.0))
-        assert rep.net_index == 0
-        assert shapes == [(65, 4, 2)]
+        rep = maslov_square(SECH, 1e-3)
+        assert rep.net_index == 0 and rep.bottom_events == ()
+        assert calls == []
 
     @pytest.mark.parametrize("model, lam, opts", [
         (FRONT, 0.02, None),

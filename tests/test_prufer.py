@@ -86,6 +86,21 @@ class TestBatchedShots:
         find_eigenvalues(sech2_problem(), 3)
         assert len(calls) <= 25
 
+    def test_find_eigenvalues_rhs_budget(self, monkeypatch):
+        # 53,718 RHS calls when the search shot theta(b) over the whole
+        # interval (1542ed0); the matched-point mismatch takes 22,804
+        nfev = []
+        real = prufer.solve_ivp
+
+        def counting(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(prufer, "solve_ivp", counting)
+        find_eigenvalues(sech2_problem(), 3)
+        assert sum(nfev) <= 0.6 * 53_718
+
     def test_sech_pulse_matches_brentq_values(self):
         # spectrum_sech.csv as serial brentq shooting computed it
         vals = find_eigenvalues(cli_sech_problem(), 3)
@@ -120,6 +135,36 @@ class TestFindEigenvalues:
     def test_poschl_teller(self):
         vals = find_eigenvalues(sech2_problem(), 3)
         assert_allclose(vals, [1.25, 0.0, -0.75], atol=1e-4)
+
+    @pytest.mark.parametrize("prob", [
+        FREE, ScalarProblem(q=lambda x: 2.5, interval=(0.0, np.pi)),
+    ], ids=["free", "constant-shift"])
+    def test_flat_q_matches_at_an_interior_point(self, prob):
+        q_sup, x_m = prufer._q_peak(prob)
+        assert q_sup == prob.q(prob.a)
+        assert prob.a < x_m < prob.b
+
+    def test_double_well(self):
+        # x_m sits in the deeper well (x = -8); the eigenfunctions of the
+        # other well make the mismatch a staircase near their eigenvalues,
+        # which the even splits pinch
+        def q(x):
+            return 3.0 / np.cosh((x - 8.0) / 2.0) ** 2 + 3.3 / np.cosh((x + 8.0) / 2.0) ** 2 - 1.0
+
+        prob = ScalarProblem(q=q, interval=(-30.0, 30.0))
+        assert prufer._q_peak(prob)[1] == pytest.approx(-7.98)
+        vals = find_eigenvalues(prob, 4)
+        # theta(b) multisection over the whole interval (1542ed0)
+        assert_allclose(
+            vals, [1.5081459324335182, 1.2500022282006484, 0.1744366977464553,
+                   5.942136906125063e-06],
+            rtol=0.0, atol=1e-10,
+        )
+        # the FD values carry an O(h^2) error near 1e-5 at h = 0.01;
+        # Richardson extrapolation from h = 0.02 removes it
+        fd = [oracle.eigenvalues(oracle.discretize_interval(q, -30.0, 30.0, h), k=4)
+              for h in (0.02, 0.01)]
+        assert_allclose(vals, (4.0 * fd[1] - fd[0]) / 3.0, rtol=0.0, atol=1e-8)
 
     def test_poschl_teller_matches_fd_oracle(self):
         prob = sech2_problem()
