@@ -13,7 +13,6 @@ from .flow import (
     FlowOptions,
     SquareReport,
     detect_conjugate_points,
-    evolve_unstable_frame,
     lambda_max_bound,
     maslov_square,
 )
@@ -23,9 +22,7 @@ from .models import (
     WaveModel,
     builtin,
     check_essential_stability,
-    constant_model,
     from_config,
-    translation_mode_residual,
     validate_model,
 )
 from .oracle import (
@@ -40,13 +37,11 @@ from .prufer import (
     ScalarProblem,
     conjugate_points,
     count_eigenvalues_above,
-    eigenfunction_zero_count,
     find_eigenvalues,
     prufer_flow,
 )
 from .radial import (
     DichotomyProjection,
-    ModeSystem,
     cylinder_spectrum,
     evolve_mode,
     mode_exponents,
@@ -57,8 +52,6 @@ from .radial import (
 from .symplectic import (
     CrossingEvent,
     MaslovIndexResult,
-    check_lagrangian,
-    dirichlet_intersection_dim,
     path_maslov_index,
     unitary_reduction,
 )

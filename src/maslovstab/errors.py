@@ -21,10 +21,6 @@ class BoundaryResonanceError(MaslovStabError):
     """The shooting angle lands within tolerance of a multiple of pi."""
 
 
-class NotAnEigenvalueError(MaslovStabError):
-    """A value claimed to be an eigenvalue fails the residual check."""
-
-
 class BracketError(MaslovStabError):
     """An eigenvalue bracket could not be established."""
 

@@ -17,6 +17,7 @@ The batched determinant, the contours and the winding routine live in
 Evans winding and the finite-difference oracle, side by side.
 """
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,9 +104,12 @@ def compare_counts(model, opts=None, epsilon_shift=1e-3, oracle_h=0.02):
 
     if parallel.worker_count(3) > 1:
         with ThreadPoolExecutor(max_workers=parallel.worker_count(3)) as pool:
-            f_conj = pool.submit(conjugate_channel)
-            f_wind = pool.submit(winding_channel)
-            f_oracle = pool.submit(oracle_channel)
+            # each channel runs in a copy of the caller's context, so it keeps
+            # the caller's numpy error state
+            f_conj, f_wind, f_oracle = (
+                pool.submit(contextvars.copy_context().run, channel)
+                for channel in (conjugate_channel, winding_channel, oracle_channel)
+            )
             (conj_count, events), winding, oracle_count = (
                 f_conj.result(), f_wind.result(), f_oracle.result()
             )

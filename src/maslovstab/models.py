@@ -67,27 +67,6 @@ def check_essential_stability(model):
     return EssentialSpectrumCheck(stable=top < 0.0, max_eig_qinf=top)
 
 
-def translation_mode_residual(model, grid):
-    """Relative FD residual of L(phi_x) = (phi_x)_xx + Q phi_x = 0.
-
-    Small for models whose potential really is the linearization at the
-    stated profile; detects profile/potential inconsistencies.
-    """
-    if model.profile_derivative is None:
-        raise ModelValidationError("profile_derivative is required for the residual")
-    grid = np.asarray(grid, dtype=float)
-    h = grid[1] - grid[0]
-    u = np.array([np.atleast_1d(model.profile_derivative(x)) for x in grid], dtype=float)
-    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    res = np.empty_like(d2u)
-    for i, x in enumerate(grid[1:-1]):
-        res[i] = d2u[i] + model.q(x) @ u[i + 1]
-    scale = np.sqrt(np.mean(u[1:-1] ** 2))
-    if scale == 0.0:
-        raise ModelValidationError("profile derivative vanishes identically")
-    return float(np.sqrt(np.mean(res**2)) / scale)
-
-
 def check_decay(model, x_max=None):
     """Verify Q approaches its limits at the declared exponential rate."""
     rate = model.decay_rate
@@ -225,30 +204,20 @@ def builtin_functions(name):
     return dict(_BUILTINS[name])
 
 
-def model_from_functions(name, fns, profile_scale=1.0):
-    """Assemble a model whose potential is the energy hessian at the profile.
-
-    profile_scale != 1 deliberately corrupts the profile; because the
-    potential follows the (corrupted) profile through the hessian, the
-    translation-mode residual then detects the inconsistency.
-    """
+def model_from_functions(name, fns):
+    """Assemble a model whose potential is the energy hessian at the profile."""
     profile = fns["profile"]
     hessian = fns["hessian"]
-    scaled_profile = (lambda x: profile_scale * profile(x))
-    derivative = fns["profile_derivative"]
-    scaled_derivative = (lambda x: profile_scale * derivative(x))
-    q_inf = np.atleast_2d(hessian(np.atleast_1d(profile_scale * _limit_value(profile))))
+    q_inf = np.atleast_2d(hessian(_limit_value(profile)))
     return WaveModel(
         n=q_inf.shape[0],
-        potential=lambda x: hessian(scaled_profile(x)),
+        potential=lambda x: hessian(profile(x)),
         q_minus=q_inf,
-        q_plus=np.atleast_2d(
-            hessian(np.atleast_1d(profile_scale * _limit_value(profile, side=+1)))
-        ),
+        q_plus=np.atleast_2d(hessian(_limit_value(profile, side=+1))),
         decay_rate=fns["decay_rate"],
         kind=fns["kind"],
-        profile=scaled_profile,
-        profile_derivative=scaled_derivative,
+        profile=profile,
+        profile_derivative=fns["profile_derivative"],
         name=name,
     )
 
@@ -262,24 +231,6 @@ def builtin(name):
     model = model_from_functions(name, builtin_functions(name))
     validate_model(model)
     return model
-
-
-def constant_model(q_inf):
-    """No-wave model with Q identically equal to its limit (for baselines).
-
-    The deviation from the limit is exactly zero, so any decay rate is
-    truthful; a large one lets short computational domains pass validation.
-    """
-    q_inf = np.atleast_2d(np.asarray(q_inf, dtype=float))
-    return WaveModel(
-        n=q_inf.shape[0],
-        potential=lambda x: q_inf,
-        q_minus=q_inf,
-        q_plus=q_inf,
-        decay_rate=10.0,
-        kind="custom",
-        name="constant",
-    )
 
 
 # ---------------------------------------------------------------------------

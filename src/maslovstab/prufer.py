@@ -30,7 +30,6 @@ from scipy.optimize import brentq
 from .errors import (
     BoundaryResonanceError,
     BracketError,
-    NotAnEigenvalueError,
     SolverError,
 )
 
@@ -275,29 +274,3 @@ def conjugate_points(prob, lambda_star, rtol=1e-10):
         root = brentq(lambda x: traj.theta_at(x) - level, x_lo, xs[k], xtol=1e-13)
         points.append(root)
     return np.array(points)
-
-
-def eigenfunction_zero_count(prob, lambda_k, residual_tol=1e-6, rtol=1e-10):
-    """Interior zero count of the eigenfunction at an eigenvalue lambda_k.
-
-    On short intervals theta(b; lambda_k) lands on a multiple of pi within
-    residual_tol.  On long intervals the terminal angle is a staircase in
-    lambda too sharp for that; lambda_k is then accepted as an eigenvalue
-    when the staircase drops through exactly one multiple of pi inside a
-    tiny lambda window, and the zero count is the plateau level above.
-    """
-    theta_end = _theta_ends(prob, [lambda_k], rtol)[0]
-    nearest = np.round(theta_end / np.pi)
-    if abs(theta_end - nearest * np.pi) <= residual_tol and nearest >= 1:
-        return int(nearest) - 1
-    deltas = np.array([1e-13, 1e-11, 1e-9]) * (1.0 + abs(lambda_k))
-    ends = _theta_ends(prob, np.concatenate([lambda_k + deltas, lambda_k - deltas]), rtol)
-    levels = np.floor(ends / np.pi).astype(int)
-    for above, below in zip(levels[:3], levels[3:]):
-        if below == above + 1 and above >= 0:
-            return int(above)
-    raise NotAnEigenvalueError(
-        f"theta(b; {lambda_k!r}) = {theta_end:.12g} is not a positive "
-        f"multiple of pi within {residual_tol:.1e} and no eigenvalue jump "
-        "was found nearby"
-    )

@@ -19,7 +19,7 @@ by associated-Legendre recurrences.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,27 +47,6 @@ def mode_exponents(d, l):
     if l < 0:
         raise ValueError("mode index l must be nonnegative")
     return float(l), -float(l + d - 2)
-
-
-@dataclass(frozen=True)
-class ModeSystem:
-    """One spherical-harmonic mode of the radial system."""
-
-    d: int
-    l: int
-    exponents: tuple = field(init=False)
-    laplace_beltrami_eigenvalue: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", mode_exponents(self.d, self.l))
-        object.__setattr__(
-            self, "laplace_beltrami_eigenvalue",
-            laplace_beltrami_eigenvalue(self.d, self.l),
-        )
-
-    @property
-    def is_degenerate(self):
-        return self.exponents[0] == self.exponents[1]
 
 
 def radial_system_matrix(d, l, s):

@@ -31,9 +31,7 @@ import numpy as np
 
 from .errors import IllConditionedError, NonLagrangianError, UndersampledPathError
 
-RANK_TOL = 1e-10
-LAGR_TOL = 1e-8
-DRIFT_TOL = 10 * LAGR_TOL
+DRIFT_TOL = 1e-7
 CROSSING_TOL = 1e-8
 DIRICHLET_TOL = 1e-6
 
@@ -70,16 +68,6 @@ class MaslovIndexResult:
             raise ValueError("index does not match the signed event sum")
 
 
-@dataclass(frozen=True)
-class LagrangianCheck:
-    """Violation report for the two frame invariants."""
-
-    rank_defect: int
-    asymmetry: float
-    smallest_singular_value: float
-    passed: bool
-
-
 def _as_stack(frames):
     """A frame or a stack of frames as a (K, 2n, n) float stack, and the
     leading shape to give results back in."""
@@ -88,31 +76,6 @@ def _as_stack(frames):
     if n < 1 or frames.shape[-2] != 2 * n:
         raise ValueError(f"a frame must be 2n x n, got shape {frames.shape}")
     return frames.reshape((-1,) + frames.shape[-2:]), frames.shape[:-2]
-
-
-def _per_frame(values, lead):
-    """One value per frame: a Python scalar for a single frame, else an array."""
-    values = values.reshape(lead)
-    return values.item() if lead == () else values
-
-
-def check_lagrangian(frames):
-    """Report rank defect of each frame and its symplectic asymmetry.
-
-    The asymmetry is the spectral norm of A^T B - B^T A, i.e. the largest
-    value of the symplectic form on a pair of unit combinations of columns.
-    """
-    stack, lead = _as_stack(frames)
-    n = stack.shape[-1]
-    s = np.linalg.svd(stack, compute_uv=False)
-    scale = np.maximum(1.0, s[:, 0])
-    defect = np.sum(s <= RANK_TOL * scale[:, None], axis=1)
-    a, b = stack[:, :n], stack[:, n:]
-    asym = np.swapaxes(a, 1, 2) @ b - np.swapaxes(b, 1, 2) @ a
-    asym_norm = np.linalg.norm(asym, 2, axis=(1, 2))
-    passed = (defect == 0) & (asym_norm <= LAGR_TOL * scale**2)
-    return LagrangianCheck(*(_per_frame(v, lead)
-                             for v in (defect, asym_norm, s[:, -1], passed)))
 
 
 def qr_positive(u):
@@ -156,30 +119,6 @@ def unitary_reduction(frames, params=None):
         )
     v = a - 1j * b
     return (v @ np.swapaxes(v, 1, 2)).reshape(lead + (n, n))
-
-
-def dirichlet_intersection_dim(frames):
-    """Dimension of the intersection with the Dirichlet plane {(0, v)}.
-
-    Counted two ways, which must agree: eigenvalues of W within
-    DIRICHLET_TOL of -1, and singular values of the orthonormalized a-block
-    below DIRICHLET_TOL/2 (the two spectra are related exactly by
-    sigma(W + I) = 2 sigma(A)).
-    """
-    stack, lead = _as_stack(frames)
-    n = stack.shape[-1]
-    eigs = np.linalg.eigvals(unitary_reduction(stack))
-    count_w = np.sum(np.abs(eigs + 1.0) <= DIRICHLET_TOL, axis=1)
-    sing = np.linalg.svd(qr_positive(stack)[:, :n], compute_uv=False)
-    count_a = np.sum(sing <= DIRICHLET_TOL / 2.0, axis=1)
-    bad = np.flatnonzero(count_w != count_a)
-    if len(bad) > 0:
-        k = bad[0]
-        raise IllConditionedError(
-            f"Dirichlet intersection counts disagree: ker(W+I) gives {count_w[k]}, "
-            f"a-block rank defect gives {count_a[k]} (tol {DIRICHLET_TOL:.1e})"
-        )
-    return _per_frame(count_w, lead)
 
 
 def _wrap_pi(x):

@@ -3,12 +3,27 @@
 ``charpoly_bisection_eigenvalues`` (Householder tridiagonalization + Sturm
 bisection) avoids LAPACK, so the tests can check the FD oracle's LAPACK
 results against it.
+
+Test oracles that no code in the package calls live here too:
+``check_lagrangian`` (with ``LagrangianCheck``, ``RANK_TOL`` and
+``LAGR_TOL``) reports rank defect and symplectic asymmetry of frames;
+``constant_model`` is the no-wave baseline model;
+``translation_mode_residual`` checks a profile against its potential; and
+``eigenfunction_zero_count`` (raising ``NotAnEigenvalueError``) reads the
+Sturm zero count off the Prufer angle.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from maslovstab import oracle
-from maslovstab.symplectic import qr_positive
+from maslovstab import oracle, prufer
+from maslovstab.errors import MaslovStabError, ModelValidationError
+from maslovstab.models import WaveModel
+from maslovstab.symplectic import _as_stack, qr_positive
+
+RANK_TOL = 1e-10
+LAGR_TOL = 1e-8
 
 
 def scalar_count_above(q, a, b, h, lambda_star):
@@ -116,3 +131,103 @@ def plane_distance(frame1, frame2):
     """
     p1, p2 = (qr_positive(f) for f in (frame1, frame2))
     return float(np.linalg.norm(p1 @ p1.conj().T - p2 @ p2.conj().T, 2))
+
+
+@dataclass(frozen=True)
+class LagrangianCheck:
+    """Violation report for the two frame invariants."""
+
+    rank_defect: int
+    asymmetry: float
+    smallest_singular_value: float
+    passed: bool
+
+
+def check_lagrangian(frames):
+    """Report rank defect of each frame and its symplectic asymmetry.
+
+    The asymmetry is the spectral norm of A^T B - B^T A, i.e. the largest
+    value of the symplectic form on a pair of unit combinations of columns.
+    A single frame gives Python scalars, a stack arrays of its leading shape.
+    """
+    stack, lead = _as_stack(frames)
+    n = stack.shape[-1]
+    s = np.linalg.svd(stack, compute_uv=False)
+    scale = np.maximum(1.0, s[:, 0])
+    defect = np.sum(s <= RANK_TOL * scale[:, None], axis=1)
+    a, b = stack[:, :n], stack[:, n:]
+    asym = np.swapaxes(a, 1, 2) @ b - np.swapaxes(b, 1, 2) @ a
+    asym_norm = np.linalg.norm(asym, 2, axis=(1, 2))
+    passed = (defect == 0) & (asym_norm <= LAGR_TOL * scale**2)
+    values = (v.reshape(lead) for v in (defect, asym_norm, s[:, -1], passed))
+    return LagrangianCheck(*(v.item() if lead == () else v for v in values))
+
+
+def constant_model(q_inf):
+    """No-wave model with Q identically equal to its limit (for baselines).
+
+    The deviation from the limit is exactly zero, so any decay rate is
+    truthful; a large one lets short computational domains pass validation.
+    """
+    q_inf = np.atleast_2d(np.asarray(q_inf, dtype=float))
+    return WaveModel(
+        n=q_inf.shape[0],
+        potential=lambda x: q_inf,
+        q_minus=q_inf,
+        q_plus=q_inf,
+        decay_rate=10.0,
+        kind="custom",
+        name="constant",
+    )
+
+
+def translation_mode_residual(model, grid):
+    """Relative FD residual of L(phi_x) = (phi_x)_xx + Q phi_x = 0.
+
+    Small for models whose potential really is the linearization at the
+    stated profile; detects profile/potential inconsistencies.
+    """
+    if model.profile_derivative is None:
+        raise ModelValidationError("profile_derivative is required for the residual")
+    grid = np.asarray(grid, dtype=float)
+    h = grid[1] - grid[0]
+    u = np.array([np.atleast_1d(model.profile_derivative(x)) for x in grid], dtype=float)
+    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    res = np.empty_like(d2u)
+    for i, x in enumerate(grid[1:-1]):
+        res[i] = d2u[i] + model.q(x) @ u[i + 1]
+    scale = np.sqrt(np.mean(u[1:-1] ** 2))
+    if scale == 0.0:
+        raise ModelValidationError("profile derivative vanishes identically")
+    return float(np.sqrt(np.mean(res**2)) / scale)
+
+
+class NotAnEigenvalueError(MaslovStabError):
+    """A value claimed to be an eigenvalue fails the residual check."""
+
+
+def eigenfunction_zero_count(prob, lambda_k, residual_tol=1e-6, rtol=1e-10):
+    """Interior zero count of the eigenfunction at an eigenvalue lambda_k.
+
+    On short intervals theta(b; lambda_k) lands on a multiple of pi within
+    residual_tol.  On long intervals the terminal angle is a staircase in
+    lambda too sharp for that; lambda_k is then accepted as an eigenvalue
+    when the staircase drops through exactly one multiple of pi inside a
+    tiny lambda window, and the zero count is the plateau level above.
+    """
+    theta_end = prufer._theta_ends(prob, [lambda_k], rtol)[0]
+    nearest = np.round(theta_end / np.pi)
+    if abs(theta_end - nearest * np.pi) <= residual_tol and nearest >= 1:
+        return int(nearest) - 1
+    deltas = np.array([1e-13, 1e-11, 1e-9]) * (1.0 + abs(lambda_k))
+    ends = prufer._theta_ends(prob, np.concatenate([lambda_k + deltas, lambda_k - deltas]),
+                              rtol)
+    levels = np.floor(ends / np.pi).astype(int)
+    for above, below in zip(levels[:3], levels[3:]):
+        if below == above + 1 and above >= 0:
+            return int(above)
+    raise NotAnEigenvalueError(
+        f"theta(b; {lambda_k!r}) = {theta_end:.12g} is not a positive "
+        f"multiple of pi within {residual_tol:.1e} and no eigenvalue jump "
+        "was found nearby"
+    )

@@ -8,10 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from maslovstab import evans, flow, oracle, prufer, radial, symplectic
+from maslovstab import evans, flow, oracle, prufer, radial
 from maslovstab.errors import SeparationError
 from maslovstab.flow import FlowOptions
-from maslovstab.models import builtin, constant_model
+from maslovstab.models import builtin
+from reference import check_lagrangian, constant_model
 from zoo import random_bump_model, random_pulse_model
 
 SECH = builtin("scalar_sech_pulse")
@@ -240,8 +241,8 @@ def test_c10_numerical_hygiene():
     drift_ok = True
     worst_drift = 0.0
     for model, lam in ((SECH, 1e-3), (SECH, -0.5), (FRONT, 1e-3), (DEMO, 0.3)):
-        _, frames = flow.evolve_unstable_frame(model, lam)
-        d = float(np.max(symplectic.check_lagrangian(frames).asymmetry))
+        _, frames = flow._unstable_path(model, lam, FlowOptions().resolve(model))
+        d = float(np.max(check_lagrangian(frames).asymmetry))
         worst_drift = max(worst_drift, d)
         if d >= 1e-8:
             drift_ok = False

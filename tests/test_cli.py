@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -14,6 +18,8 @@ from hypothesis import strategies as st
 
 from maslovstab.cli import main
 from maslovstab.models import builtin
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SECH_CONFIG = {
     "n": 1,
@@ -260,6 +266,28 @@ class TestBasics:
         payload = json.loads(line)
         assert payload["error"] == "DiscretizationError"
         assert "not finite at grid point x = " in payload["message"]
+
+    @pytest.mark.parametrize("shift", ["+ 25", "- 25"])
+    @pytest.mark.parametrize("command", [
+        ["conjugate", "--lambda-star", "1e-3"], ["evans"], ["compare"],
+    ], ids=["conjugate", "evans", "compare"])
+    def test_potential_not_finite_where_a_path_starts_exit_one(self, tmp_path, shift,
+                                                               command):
+        # NaN at x = -L or x = +L, finite at every validation sample; a
+        # hanging integration runs into the timeout instead of exiting
+        entry = f"-1 + 3*sech(x/2)**2 + 0*log(abs(x {shift}))"
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(
+            SECH_CONFIG, potential={"kind": "expression", "entries": [[entry]]})))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maslovstab.cli", "--json-errors", command[0],
+             "--config", str(cfg), "--truncation", "25", *command[1:]],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "SolverError"
 
     def test_config_model_runs(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"

@@ -4,7 +4,8 @@ import pytest
 from maslovstab import flow
 from maslovstab.errors import ContourError, NonHyperbolicError, SeparationError
 from maslovstab.evans import Contour, compare_counts, winding_number
-from maslovstab.models import builtin, constant_model
+from maslovstab.models import builtin
+from reference import constant_model
 from zoo import random_bump_model, random_pulse_model
 
 SECH = builtin("scalar_sech_pulse")

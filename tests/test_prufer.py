@@ -4,15 +4,15 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eig_banded
 
 import reference
+from reference import NotAnEigenvalueError, eigenfunction_zero_count
 from maslovstab import flow, oracle, prufer
-from maslovstab.errors import BoundaryResonanceError, NotAnEigenvalueError, SolverError
+from maslovstab.errors import BoundaryResonanceError, SolverError
 from maslovstab.models import builtin
 from maslovstab.prufer import (
     ScalarProblem,
     _theta_ends,
     conjugate_points,
     count_eigenvalues_above,
-    eigenfunction_zero_count,
     find_eigenvalues,
     prufer_flow,
 )

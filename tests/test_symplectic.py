@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from maslovstab import symplectic
-from maslovstab.flow import evolve_unstable_frame
+from reference import check_lagrangian
+from maslovstab import flow, symplectic
+from maslovstab.flow import FlowOptions
 from maslovstab.models import builtin
 from maslovstab.symplectic import (
     _merge_events,
     CrossingEvent,
     MaslovIndexResult,
-    check_lagrangian,
-    dirichlet_intersection_dim,
     eigenphases_from_minus_one,
     path_maslov_index,
     unitary_reduction,
@@ -108,23 +107,34 @@ class TestUnitaryReduction:
                 unitary_reduction(f)
 
 
+def dirichlet_dim(frames):
+    """Dimension of each frame's intersection with the Dirichlet plane
+    {(0, v)}: the W-eigenvalues within DIRICHLET_TOL of -1."""
+    betas = eigenphases_from_minus_one(unitary_reduction(frames))
+    return np.sum(np.abs(betas) <= symplectic.DIRICHLET_TOL, axis=-1)
+
+
 class TestDirichletIntersection:
     def test_horizontal(self):
-        assert dirichlet_intersection_dim(np.vstack([np.eye(2), np.zeros((2, 2))])) == 0
+        assert dirichlet_dim(np.vstack([np.eye(2), np.zeros((2, 2))])) == 0
 
     def test_full_dirichlet(self):
-        assert dirichlet_intersection_dim(np.vstack([np.zeros((2, 2)), np.eye(2)])) == 2
+        assert dirichlet_dim(np.vstack([np.zeros((2, 2)), np.eye(2)])) == 2
 
     def test_one_direction(self):
         f = np.vstack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
-        assert dirichlet_intersection_dim(f) == 1
+        assert dirichlet_dim(f) == 1
 
     def test_agreement_on_random_frames(self):
+        # sigma(W + I) = 2 sigma(A) on the orthonormal frame, so the a-block's
+        # rank defect counts the same intersection
         rng = np.random.default_rng(3)
         for _ in range(1000):
             n = int(rng.integers(1, 4))
             f = random_lagrangian(rng, n)
-            d = dirichlet_intersection_dim(f)
+            d = dirichlet_dim(f)
+            sing = np.linalg.svd(symplectic.qr_positive(f)[:n], compute_uv=False)
+            assert d == np.sum(sing <= symplectic.DIRICHLET_TOL / 2.0)
             assert 0 <= d <= n
 
 
@@ -267,7 +277,8 @@ class TestPhasePairing:
 class TestBatchedPhases:
     @pytest.mark.parametrize("name", ["scalar_sech_pulse", "coupled_gradient_demo"])
     def test_equal_the_per_frame_reduction(self, name, monkeypatch):
-        xs, frames = evolve_unstable_frame(builtin(name), 1e-3)
+        model = builtin(name)
+        xs, frames = flow._unstable_path(model, 1e-3, FlowOptions().resolve(model))
         seen = []
         phases = symplectic.eigenphases_from_minus_one
 
@@ -297,14 +308,14 @@ class TestFrameStacks:
         frames[4] = np.vstack([np.zeros((3, 3)), np.eye(3)])
         frames[7] = np.vstack([np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])])
         checks = check_lagrangian(frames)
-        dims = dirichlet_intersection_dim(frames)
+        dims = dirichlet_dim(frames)
         ws = unitary_reduction(frames)
         for k, f in enumerate(frames):
             single = check_lagrangian(f)
             assert checks.rank_defect[k] == single.rank_defect
             assert checks.asymmetry[k] == single.asymmetry
             assert checks.passed[k] == single.passed
-            assert dims[k] == dirichlet_intersection_dim(f)
+            assert dims[k] == dirichlet_dim(f)
             assert np.array_equal(ws[k], unitary_reduction(f))
         assert list(dims[[4, 7]]) == [3, 1]
 
@@ -317,12 +328,12 @@ class TestFrameStacks:
         f = line_frame(0.4)
         rep = check_lagrangian(f)
         assert type(rep.rank_defect) is int and type(rep.passed) is bool
-        assert type(dirichlet_intersection_dim(f)) is int
+        assert unitary_reduction(f).shape == (1, 1)
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (0, 0), (5, 4, 3)])
     def test_frame_that_is_not_2n_by_n_rejected(self, shape):
         with pytest.raises(ValueError, match="2n x n"):
-            check_lagrangian(np.ones(shape))
+            unitary_reduction(np.ones(shape))
 
 
 class TestResultTypes:
