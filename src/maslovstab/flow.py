@@ -159,18 +159,28 @@ def propagate(model, lams, frames, xs, opts):
     complex; the frames are re-orthonormalized by positive-diagonal QR every
     ``renorm_every`` units of x.  Returns (len(xs), K, 2n, n) orthonormal
     frames.  A potential that is not finite at xs[0] raises SolverError:
-    DOP853 would pick a NaN first step there and never finish it.
+    DOP853 would pick a NaN first step there and never finish it.  A failed
+    segment names the non-finite potential where the solver stopped or at
+    the segment's end, if there is one.
     """
     n = model.n
     shape = frames.shape
+    k = shape[0]
     lam_col = np.asarray(lams)[:, None, None]
     q = model.q
+    last_x = None
 
     def rhs(x, y):
+        nonlocal last_x
+        last_x = x
         u = y.reshape(shape)
+        top = u[:, :n]
+        # one (n, n) @ (n, K n) product: a stacked matmul makes one BLAS call
+        # per lambda, with the same sums
+        q_top = (q(x) @ top.transpose(1, 0, 2).reshape(n, k * n)).reshape(n, k, n)
         out = np.empty_like(u)
         out[:, :n] = u[:, n:]
-        out[:, n:] = lam_col * u[:, :n] - q(x) @ u[:, :n]
+        out[:, n:] = lam_col * top - q_top.transpose(1, 0, 2)
         return out.ravel()
 
     xs = np.asarray(xs, dtype=float)
@@ -194,6 +204,12 @@ def propagate(model, lams, frames, xs, opts):
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
+            for x in (last_x, s1):
+                if not np.all(np.isfinite(q(x))):
+                    raise SolverError(
+                        f"potential is not finite at x = {float(x)!r}, which "
+                        f"stopped the frame evolution on [{s0:.6g}, {s1:.6g}]"
+                    )
             raise SolverError(
                 f"frame evolution failed on [{s0:.6g}, {s1:.6g}]: {sol.message}"
             )
@@ -275,10 +291,18 @@ def _angle_count(model, lambda_, xs, frames):
     diagonal QR, is integrated by the trapezoid rule.  det W = e^{-2i Theta}
     and each crossing drops the sum of W's eigen-angles phi in (-pi, pi] by
     2 pi, so N = (sum phi(x_0) - sum phi(x_end) - 2 Delta Theta) / 2 pi.
+    A Q that is not finite at a sample raises SolverError naming its x.
     """
     n = model.n
     x, y = frames[:, :n], frames[:, n:]
-    shifted = lambda_ * np.eye(n) - np.array([model.q(t) for t in xs])
+    qs = np.array([model.q(t) for t in xs])
+    finite = np.isfinite(qs).all(axis=(1, 2))
+    if not finite.all():
+        raise SolverError(
+            f"potential is not finite at x = {float(xs[np.argmin(finite)])!r}, "
+            "a sample of the conjugate-point path"
+        )
+    shifted = lambda_ * np.eye(n) - qs
     rates = np.einsum("kji,kjl,kli->k", x, shifted, x) - np.sum(y * y, axis=(1, 2))
     turn = np.trapezoid(rates, xs)
     ends = np.angle(np.linalg.eigvals(symplectic.unitary_reduction(frames[[0, -1]])))

@@ -28,6 +28,8 @@ BUILTIN_NAMES = ("scalar_sech_pulse", "allen_cahn_front", "coupled_gradient_demo
 
 KINDS = ("pulse", "front", "custom")
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class WaveModel:
@@ -48,8 +50,12 @@ class WaveModel:
             object.__setattr__(self, attr, m)
 
     def q(self, x):
-        """Potential at x as an (n, n) array."""
-        return np.atleast_2d(np.asarray(self.potential(x), dtype=float))
+        """Potential at x as an (n, n) float64 array."""
+        v = self.potential(x)
+        # np.asarray and np.atleast_2d pass a 2-D float64 ndarray through
+        if type(v) is np.ndarray and v.ndim == 2 and v.dtype is _FLOAT64:
+            return v
+        return np.atleast_2d(np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,10 @@ def _stack_scalars(parts):
         return sum(p["energy"](u[i : i + 1]) for i, p in enumerate(parts))
 
     def hessian(u):
-        return np.diag([p["hessian"](u[i : i + 1])[0, 0] for i, p in enumerate(parts)])
+        out = np.zeros((len(parts), len(parts)))
+        for i, p in enumerate(parts):
+            out[i, i] = p["hessian"](u[i : i + 1])[0, 0]
+        return out
 
     def profile(x):
         return np.concatenate([p["profile"](x) for p in parts])

@@ -37,6 +37,27 @@ def run(capsys, *argv):
     return code, captured.out.strip(), captured.err.strip()
 
 
+def _nan_potential_error(tmp_path, term, kind, command):
+    """The one JSON error line of a run on the sech pulse plus ``term``.
+
+    Runs in a subprocess, so a hanging integration runs into the timeout
+    instead of stalling the suite.
+    """
+    entry = f"-1 + 3*sech(x/2)**2 + {term}"
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(dict(
+        SECH_CONFIG, kind=kind, potential={"kind": "expression", "entries": [[entry]]})))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maslovstab.cli", "--json-errors", command[0],
+         "--config", str(cfg), "--truncation", "25", *command[1:]],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    return json.loads(line)
+
+
 class TestBasics:
     def test_models_lists_builtins(self, capsys):
         code, out, _ = run(capsys, "models")
@@ -270,24 +291,29 @@ class TestBasics:
     @pytest.mark.parametrize("shift", ["+ 25", "- 25"])
     @pytest.mark.parametrize("command", [
         ["conjugate", "--lambda-star", "1e-3"], ["evans"], ["compare"],
-    ], ids=["conjugate", "evans", "compare"])
+        ["square", "--lambda-star", "1e-3"],
+    ], ids=["conjugate", "evans", "compare", "square"])
     def test_potential_not_finite_where_a_path_starts_exit_one(self, tmp_path, shift,
                                                                command):
-        # NaN at x = -L or x = +L, finite at every validation sample; a
-        # hanging integration runs into the timeout instead of exiting
-        entry = f"-1 + 3*sech(x/2)**2 + 0*log(abs(x {shift}))"
-        cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps(dict(
-            SECH_CONFIG, potential={"kind": "expression", "entries": [[entry]]})))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "maslovstab.cli", "--json-errors", command[0],
-             "--config", str(cfg), "--truncation", "25", *command[1:]],
-            capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 1 and proc.stdout == ""
-        (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"] == "SolverError"
+        # NaN at x = -L or x = +L, finite at every validation sample; the
+        # error names that x whether a path starts or ends there
+        error = _nan_potential_error(tmp_path, f"0*log(abs(x {shift}))", "pulse",
+                                     command)
+        assert error["error"] == "SolverError"
+        x = -float(shift.replace(" ", ""))
+        assert f"potential is not finite at x = {x!r}" in error["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["conjugate", "--lambda-star", "1e-3"], ["compare"],
+        ["square", "--lambda-star", "1e-3"],
+    ], ids=["conjugate", "compare", "square"])
+    def test_potential_not_finite_at_a_path_sample_exit_one(self, tmp_path, command):
+        # x = 3.3 is a sample of the conjugate-point path at L = 25; the
+        # integration steps over it, the angle count does not
+        error = _nan_potential_error(tmp_path, "0*log(abs(x - 3.3))", "custom",
+                                     command)
+        assert error["error"] == "SolverError"
+        assert "potential is not finite at x = 3.3" in error["message"]
 
     def test_config_model_runs(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
@@ -855,6 +881,14 @@ class TestGolden:
             "--contour-center", "1.25", "0", "--contour-radius", "0.5",
             "--contour-samples", "64", "--output", str(out_file))
         golden(out_file, "evans_sech.csv")
+
+    def test_evans_demo_golden(self, capsys, tmp_path, golden):
+        # the one golden file of complex n = 2 frames
+        out_file = tmp_path / "evans.csv"
+        code, out, _ = run(capsys, "evans", "--model", "coupled_gradient_demo",
+                           "--contour-samples", "64", "--output", str(out_file))
+        assert (code, out) == (0, "winding=1")
+        golden(out_file, "evans_demo.csv")
 
     def test_prufer_golden(self, capsys, tmp_path, golden):
         out_file = tmp_path / "prufer.csv"

@@ -54,6 +54,12 @@ class TestBuiltins:
         m = builtin("coupled_gradient_demo")
         assert_allclose(m.q(0.0), np.diag([2.0, 1.0]), atol=1e-14)
 
+    def test_coupled_potential_is_the_diagonal_of_its_parts(self):
+        sech, front, demo = (builtin(name) for name in BUILTIN_NAMES)
+        for x in np.linspace(-20.0, 20.0, 41):
+            expected = np.diag([sech.q(x)[0, 0], front.q(x)[0, 0]])
+            assert np.array_equal(demo.q(x), expected)
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             builtin("nonexistent")
@@ -61,6 +67,33 @@ class TestBuiltins:
     def test_all_builtins_validate(self):
         for name in BUILTIN_NAMES:
             validate_model(builtin(name))
+
+
+class TestPotentialValue:
+    @pytest.mark.parametrize("value", [
+        -0.5,
+        [[1.0, 0.25], [0.25, -2.0]],
+        np.array([[1, 2], [2, -3]]),
+        np.array([[0.1, 0.3], [0.3, -0.7]], dtype=np.float32),
+        np.array(-0.5),
+        np.array([[0.1, 0.3], [0.3, -0.7]], dtype=">f8"),
+    ], ids=["float", "list", "int-array", "float32-array", "0-d-array",
+            "big-endian-array"])
+    def test_q_converts_like_asarray(self, value):
+        expected = np.atleast_2d(np.asarray(value, dtype=float))
+        n = expected.shape[0]
+        model = WaveModel(n=n, potential=lambda x: value, q_minus=expected,
+                          q_plus=expected, decay_rate=1.0)
+        got = model.q(0.0)
+        assert type(got) is np.ndarray and got.dtype == np.dtype(np.float64)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, expected)
+
+    def test_q_passes_a_float64_matrix_through(self):
+        value = np.array([[0.1, 0.3], [0.3, -0.7]])
+        model = WaveModel(n=2, potential=lambda x: value, q_minus=value,
+                          q_plus=value, decay_rate=1.0)
+        assert model.q(0.0) is value
 
 
 class TestEssentialSpectrum:
