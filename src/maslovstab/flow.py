@@ -24,7 +24,10 @@ singular.
 Frame stabilization: the evolved 2n x n frame is re-orthonormalized every
 ``renorm_every`` units of x by a QR factorization with positive diagonal,
 which preserves the column span exactly and keeps the exponential growth
-of individual columns from destroying the plane.
+of individual columns from destroying the plane.  Each segment after the
+first continues from the last step size the integrator chose freely on the
+previous one, and its end state is the solver's last step, not an
+interpolated value.
 """
 
 import gc
@@ -157,11 +160,13 @@ def propagate(model, lams, frames, xs, opts):
     either direction (``[x0, x1]`` for an endpoint-only sweep).  One DOP853
     run per renormalization segment carries the whole stack, real or
     complex; the frames are re-orthonormalized by positive-diagonal QR every
-    ``renorm_every`` units of x.  Returns (len(xs), K, 2n, n) orthonormal
-    frames.  A potential that is not finite at xs[0] raises SolverError:
-    DOP853 would pick a NaN first step there and never finish it.  A failed
-    segment names the non-finite potential where the solver stopped or at
-    the segment's end, if there is one.
+    ``renorm_every`` units of x.  A segment starts with the previous one's
+    last unclipped step and builds the dense interpolant only for samples
+    strictly inside it; the frame at xs[0] is the QR'd input.  Returns
+    (len(xs), K, 2n, n) orthonormal frames.  A potential that is not finite
+    at xs[0] raises SolverError: DOP853 would pick a NaN first step there
+    and never finish it.  A failed segment names the non-finite potential
+    where the solver stopped or at the segment's end, if there is one.
     """
     n = model.n
     shape = frames.shape
@@ -195,12 +200,17 @@ def propagate(model, lams, frames, xs, opts):
         return out
     sign = math.copysign(1.0, x1 - x0)
     edges = _segment_edges(x0, x1, opts)
-    i = 0
+    out[0] = u
+    i = 1
+    step = None
     for s0, s1 in zip(edges[:-1], edges[1:]):
         j = int(np.searchsorted(sign * xs, sign * s1, side="right"))
-        t_eval = xs[i:j] if j > i and xs[j - 1] == s1 else np.append(xs[i:j], s1)
+        inner = xs[i : j - 1] if j > i and xs[j - 1] == s1 else xs[i:j]
+        # Q and lambda do not change at s0: the last step the previous
+        # segment chose freely holds its error control here as well
         sol = solve_ivp(
-            rhs, (s0, s1), u.ravel(), method="DOP853", t_eval=t_eval,
+            rhs, (s0, s1), u.ravel(), method="DOP853", dense_output=len(inner) > 0,
+            first_step=None if step is None else min(step, abs(s1 - s0)),
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
@@ -217,7 +227,13 @@ def propagate(model, lams, frames, xs, opts):
         # its stage arrays now instead of letting them pile up until a full
         # collection
         gc.collect(1)
-        stack = symplectic.qr_positive(sol.y.T.reshape((-1,) + shape))
+        if len(sol.t) > 2:
+            # the last step may be clipped at s1; the one before it is not
+            step = abs(sol.t[-2] - sol.t[-3])
+        ys = sol.y[:, -1:]
+        if len(inner):
+            ys = np.concatenate([sol.sol(inner), ys], axis=1)
+        stack = symplectic.qr_positive(ys.T.reshape((-1,) + shape))
         out[i:j] = stack[: j - i]
         u = stack[-1]
         i = j

@@ -895,3 +895,17 @@ class TestGolden:
         run(capsys, "prufer", "--model", "allen_cahn_front",
             "--lambda-star", "1e-3", "--output", str(out_file))
         golden(out_file, "prufer_front.csv")
+
+    def test_drift_report_separates_floats_from_exact_fields(self):
+        from conftest import _drift_report
+
+        committed = b"edge,param,crossing\nleft,0.5,1\ntop,0,1\n"
+        floats_moved = b"edge,param,crossing\nleft,0.50000002,1\ntop,1e-9,1\n"
+        report = _drift_report("x.csv", floats_moved, committed)
+        assert "at line 2:" in report
+        assert "largest numeric change: 2e-08 absolute, 1 relative" in report
+        assert report.endswith("integer or text fields changed: 0")
+        count_moved = b"edge,param,crossing\nright,0.5,2\ntop,0,1\n"
+        report = _drift_report("x.csv", count_moved, committed)
+        assert "largest numeric change: 0 absolute, 0 relative" in report
+        assert report.endswith("integer or text fields changed: 2")

@@ -174,6 +174,36 @@ class TestPropagate:
         assert_allclose(out[1], expected, atol=1e-15)
 
 
+class TestAccuracy:
+    """The default tolerance against an rtol = 1e-11 reference at
+    lambda_* = 1e-3: each segment's carried first step is error-controlled
+    like every other step."""
+
+    TIGHT = FlowOptions(rtol=1e-11)
+
+    @pytest.mark.parametrize("model", [SECH, FRONT, DEMO], ids=lambda m: m.name)
+    def test_square_events_match_a_tight_run(self, model):
+        default = maslov_square(model, 1e-3)
+        tight = maslov_square(model, 1e-3, self.TIGHT)
+        for edge in ("left_events", "top_events"):
+            got, ref = getattr(default, edge), getattr(tight, edge)
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert (a.multiplicity, a.direction) == (b.multiplicity, b.direction)
+                assert abs(a.param - b.param) <= 1e-8
+
+    @pytest.mark.parametrize("model", [SECH, FRONT, DEMO], ids=lambda m: m.name)
+    def test_contour_phases_match_a_tight_run(self, model):
+        opts = FlowOptions().resolve(model)
+        lambda_inf = flow.lambda_ceiling(model, 1e-3, opts.truncation)
+        points = flow._integrated_points(
+            flow.Contour.enclosing(1e-3, lambda_inf, samples=64))
+        got = flow.evans_determinant(model, points, opts, 0.0)[0]
+        ref = flow.evans_determinant(model, points, self.TIGHT.resolve(model), 0.0)[0]
+        # orthonormal frames rescale E by a positive factor: compare phases
+        assert np.max(np.abs(np.angle(got / ref))) <= 1e-6
+
+
 def unstable_path(model, lam, opts=None):
     """Sample grid and frames of the plane decaying at -infinity."""
     return flow._unstable_path(model, lam, (opts or FlowOptions()).resolve(model))
@@ -353,6 +383,27 @@ class TestWorkBudget:
         assert len(detect_conjugate_points(SECH, 1e-3)) == 1
         # only the refinement of the one crossing reduces single frames
         assert 0 < len(calls) < samples / 10
+
+    def test_sweep_segments_carry_the_step_and_skip_the_interpolant(self, monkeypatch):
+        calls = []
+        solve = flow.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append((kwargs, sol.nfev))
+            return sol
+
+        monkeypatch.setattr(flow, "solve_ivp", recording)
+        opts = FlowOptions().resolve(SECH)
+        lams = np.linspace(1e-3, flow.lambda_ceiling(SECH, 1e-3, opts.truncation), 129)
+        flow.evans_determinant(SECH, lams, opts, 0.0)
+        # one call per renormalization segment: 21 from -L to 0, 21 from +L
+        assert len(calls) == 42
+        # a fresh start on every segment averages 53 RHS evaluations here
+        assert np.mean([nfev for _, nfev in calls]) <= 42
+        # every segment here is endpoint-only: its end state is the solver's
+        assert not any(kw.get("t_eval") is not None or kw.get("dense_output")
+                       for kw, _ in calls)
 
     @pytest.mark.parametrize("model, lam, opts", [
         (FRONT, 0.02, None),
