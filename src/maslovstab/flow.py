@@ -296,7 +296,8 @@ def _refine_crossing(model, lambda_, x_lo, frame_lo, x_hi, xtol, opts):
         return x_lo
     if b_hi == 0.0 or np.sign(b_lo) == np.sign(b_hi):
         return x_hi
-    return brentq(beta, x_lo, x_hi, xtol=xtol)
+    # brentq starts from both ends: x_lo integrates nothing, x_hi is known
+    return brentq(lambda x: b_hi if x == x_hi else beta(x), x_lo, x_hi, xtol=xtol)
 
 
 def _angle_count(model, lambda_, xs, frames):

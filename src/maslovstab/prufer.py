@@ -16,9 +16,11 @@ Sturm-Liouville codes (Pryce, *Numerical Solution of Sturm-Liouville
 Problems*, 1993): theta_L is shot forward from a and theta_R backward from
 b, both from 0, to an interior point x_m, and the mismatch
 Delta = theta_L(x_m) - theta_R(x_m) satisfies Delta(lambda_j) = (j+1) pi.
+Both legs run in one integration over a common parameter t in [0, 1].
 On a long interval theta(b; .) drops through each multiple of pi within a
 lambda window of width ~ e^{-2 mu (b-a)}; Delta, matched where q peaks, is
-smooth there, so a root search can use its slope.
+smooth there, so a root search can use its slope.  The search starts from
+the Dirichlet comparison bound lambda_{N-1} >= inf q - (N pi / (b-a))^2.
 """
 
 from dataclasses import dataclass, field
@@ -71,13 +73,11 @@ class PruferTrajectory:
         return float(self.dense.sol(x)[0])
 
 
-def _angle_solution(prob, lams, rtol, dense_output=False, span=None):
-    """Integrate the angle equation for a vector of lambdas at once.
+def _angle_solution(prob, lams, rtol, dense_output=False):
+    """Integrate the angle equation over (a, b) for a vector of lambdas at once.
 
     The state holds one angle per lambda; every right-hand side evaluation
     reads q once, so a batch costs about one shot's worth of solver steps.
-    `span` defaults to the whole interval (a, b); the angle starts at 0 at
-    its first end.
     """
     lams = np.asarray(lams, dtype=float)
     q = prob.q
@@ -88,7 +88,7 @@ def _angle_solution(prob, lams, rtol, dense_output=False, span=None):
 
     sol = solve_ivp(
         rhs,
-        prob.interval if span is None else span,
+        prob.interval,
         np.zeros(len(lams)),
         method="DOP853",
         rtol=rtol,
@@ -111,13 +111,53 @@ def _mismatch(prob, lams, x_m, rtol):
     """Delta(lambda) = theta_L(x_m) - theta_R(x_m) for every lambda in `lams`.
 
     theta_L is shot forward from a and theta_R backward from b, both from
-    theta = 0, so the two batched integrations cost about one full shot.
-    Delta decreases strictly in lambda, and floor(Delta / pi) counts the
-    eigenvalues above lambda: Delta(lambda_j) = (j+1) pi.
+    theta = 0, in one integration of the 2K angles over t in [0, 1]: leg i
+    sits at x_i = s_i + t (x_m - s_i), s = (a, b), and
+
+        d theta / dt = (x_m - s_i) (1 + (q(x_i) - lambda - 1) sin^2 theta),
+
+    the angle equation with cos^2 = 1 - sin^2, so one right-hand side reads
+    q once per leg and takes one sine of the whole state.  The pair costs
+    about one full shot.  Delta decreases strictly in lambda, and
+    floor(Delta / pi) counts the eigenvalues above lambda:
+    Delta(lambda_j) = (j+1) pi.
     """
-    left = _angle_solution(prob, lams, rtol, span=(prob.a, x_m)).y[:, -1]
-    right = _angle_solution(prob, lams, rtol, span=(prob.b, x_m)).y[:, -1]
-    return left - right
+    lams = np.asarray(lams, dtype=float)
+    k = len(lams)
+    q = prob.q
+    a, b = prob.a, prob.b
+    len_a, len_b = x_m - a, x_m - b
+    lengths = np.array([[len_a], [len_b]])
+    offset = lengths * (lams + 1.0)
+    # (x_m - s_i) q(x_i), rewritten in place by every right-hand side
+    scaled_q = np.empty((2, 1))
+
+    def rhs(t, theta):
+        scaled_q[0, 0] = len_a * float(q(a + t * len_a))
+        scaled_q[1, 0] = len_b * float(q(b + t * len_b))
+        s = np.sin(theta).reshape(2, k)
+        out = scaled_q - offset
+        out *= s
+        out *= s
+        out += lengths
+        return out.ravel()
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, 1.0),
+        np.zeros(2 * k),
+        method="DOP853",
+        rtol=rtol,
+        atol=max(rtol * 1e-2, 1e-14),
+    )
+    if not sol.success:
+        t = sol.t[-1]
+        raise SolverError(
+            f"angle integration failed near x = {a + t * len_a:.6g} (from a) "
+            f"and x = {b + t * len_b:.6g} (from b): {sol.message}"
+        )
+    ends = sol.y[:, -1]
+    return ends[:k] - ends[k:]
 
 
 def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
@@ -147,11 +187,11 @@ def count_eigenvalues_above(prob, lambda_star, rtol=1e-10):
 
 
 def _q_peak(prob, samples=1001):
-    """max q over `samples` points of [a, b], and the matching point x_m: the
-    interior sample where q is largest."""
+    """max q over `samples` points of [a, b], the matching point x_m (the
+    interior sample where q is largest) and min q over the same points."""
     xs = np.linspace(prob.a, prob.b, samples)
     qs = np.array([prob.q(x) for x in xs], dtype=float)
-    return float(qs.max()), float(xs[1 + np.argmax(qs[1:-1])])
+    return float(qs.max()), float(xs[1 + np.argmax(qs[1:-1])]), float(qs.min())
 
 
 def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
@@ -161,7 +201,10 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     matched at x_m, the interior sample where q peaks.  Delta is strictly
     decreasing in lambda, so every evaluated (lambda, Delta) pair narrows the
     bracket of each target angle at once, and each round evaluates all its
-    new points in one batched pair of shots.
+    new points in one two-leg integration.  The first bracket runs from
+    sup q + 1 down to the Dirichlet comparison bound
+    inf q - (N pi / (b - a))^2 - 1 on N = how_many, both read from 1001
+    samples of q; it is doubled downwards while it fails to bracket.
 
     Each round places MULTISECTION_POINTS points in every open bracket.  An
     eigenfunction that lives near x_m makes Delta smooth in lambda, so the
@@ -182,9 +225,11 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     if how_many < 1:
         raise ValueError("how_many must be >= 1")
     targets = np.pi * np.arange(1, how_many + 1)
-    q_sup, x_m = _q_peak(prob)
+    q_sup, x_m, q_min = _q_peak(prob)
     hi = q_sup + 1.0
-    lo = q_sup - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
+    # lambda_{N-1} >= inf q - (N pi / (b - a))^2; a sampled minimum can miss
+    # a narrow dip, so the doubling loop below still checks the bracket
+    lo = q_min - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
     lams = np.array([hi, lo])
     deltas = _mismatch(prob, lams, x_m, rtol)
     if deltas[0] >= targets[0]:

@@ -384,6 +384,21 @@ class TestWorkBudget:
         # only the refinement of the one crossing reduces single frames
         assert 0 < len(calls) < samples / 10
 
+    def test_crossing_refinement_integrates_no_span_twice(self, monkeypatch):
+        spans = []
+        solve = flow.solve_ivp
+
+        def recording(fun, t_span, *args, **kwargs):
+            spans.append(tuple(map(float, t_span)))
+            return solve(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "solve_ivp", recording)
+        events = detect_conjugate_points(SECH, 1e-3)
+        # the root search reuses the phase at the bracket's upper end
+        assert len(spans) == len(set(spans))
+        # as before the reuse, bit for bit
+        assert events == (symplectic.CrossingEvent(0.0010666314044902644, 1, 1),)
+
     def test_sweep_segments_carry_the_step_and_skip_the_interpolant(self, monkeypatch):
         calls = []
         solve = flow.solve_ivp

@@ -33,6 +33,19 @@ def cli_sech_problem():
     return ScalarProblem(q=lambda x: float(model.q(x)[0, 0]), interval=(-L, L))
 
 
+def record_mismatch_shots(monkeypatch):
+    """The lambda vector of every later `prufer._mismatch` call."""
+    shots = []
+    mismatch = prufer._mismatch
+
+    def recording(prob, lams, x_m, rtol):
+        shots.append(np.asarray(lams, dtype=float))
+        return mismatch(prob, lams, x_m, rtol)
+
+    monkeypatch.setattr(prufer, "_mismatch", recording)
+    return shots
+
+
 class TestPruferFlow:
     def test_free_ground_state(self):
         traj = prufer_flow(FREE, -1.0, rtol=1e-11)
@@ -57,14 +70,22 @@ class TestPruferFlow:
             with pytest.raises(SolverError, match="angle integration failed"):
                 prufer_flow(sech2_problem(), 1e300)
 
+    def test_failed_two_leg_integration_names_both_legs(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=r"x = -40 \(from a\) and x = 40 \(from b\)"):
+                prufer._mismatch(sech2_problem(), [1e300], 0.0, 1e-11)
+
+
+WINDOWS = [
+    pytest.param(FREE, np.linspace(-12.0, 3.0, 31), id="free"),
+    # the window find_eigenvalues(sech2, 3) searches; the grid avoids the
+    # eigenvalue 0, where theta(b) on (-40, 40) jumps by pi within 1e-12
+    pytest.param(sech2_problem(), np.linspace(-2.05, 2.95, 31), id="sech2"),
+]
+
 
 class TestBatchedShots:
-    @pytest.mark.parametrize("prob,lams", [
-        (FREE, np.linspace(-12.0, 3.0, 31)),
-        # the window find_eigenvalues(sech2, 3) searches; the grid avoids the
-        # eigenvalue 0, where theta(b) on (-40, 40) jumps by pi within 1e-12
-        (sech2_problem(), np.linspace(-2.05, 2.95, 31)),
-    ], ids=["free", "sech2"])
+    @pytest.mark.parametrize("prob,lams", WINDOWS)
     def test_batch_matches_single_shots(self, prob, lams):
         # one lambda's error must not hide under the batch's RMS error norm;
         # the single shots run tighter, since at the batch's own rtol their
@@ -73,6 +94,21 @@ class TestBatchedShots:
         singles = [prufer_flow(prob, lam, rtol=1e-13).theta_end for lam in lams]
         assert_allclose(ends, singles, rtol=0.0, atol=1e-9)
         assert np.all(np.diff(ends) < 0.0)
+
+    @pytest.mark.parametrize("prob,lams", WINDOWS)
+    def test_two_leg_mismatch_matches_single_legs(self, prob, lams):
+        # one integration carries both legs; no lambda's error, on either
+        # leg, may hide under the 2K-component RMS error norm
+        x_m = prufer._q_peak(prob)[1]
+        deltas = prufer._mismatch(prob, lams, x_m, 1e-11)
+        left = ScalarProblem(q=prob.q, interval=(prob.a, x_m))
+        # theta_R shot backward from b is minus the angle shot forward on
+        # the mirrored coefficient
+        mirror = ScalarProblem(q=lambda y: prob.q(x_m + prob.b - y), interval=(x_m, prob.b))
+        singles = [prufer_flow(left, lam, rtol=1e-13).theta_end
+                   + prufer_flow(mirror, lam, rtol=1e-13).theta_end for lam in lams]
+        assert_allclose(deltas, singles, rtol=0.0, atol=1e-9)
+        assert np.all(np.diff(deltas) < 0.0)
 
     def test_find_eigenvalues_work_budget(self, monkeypatch):
         calls = []
@@ -84,11 +120,14 @@ class TestBatchedShots:
 
         monkeypatch.setattr(prufer, "solve_ivp", counting)
         find_eigenvalues(sech2_problem(), 3)
-        assert len(calls) <= 25
+        # one two-leg integration per round: 6 here, 14 with two shots per
+        # round and the bracket expansion
+        assert len(calls) <= 8
 
     def test_find_eigenvalues_rhs_budget(self, monkeypatch):
         # 53,718 RHS calls when the search shot theta(b) over the whole
-        # interval (1542ed0); the matched-point mismatch takes 22,804
+        # interval (1542ed0); the matched-point mismatch took 22,804 in two
+        # shots per round, and 11,184 in one two-leg integration
         nfev = []
         real = prufer.solve_ivp
 
@@ -99,7 +138,13 @@ class TestBatchedShots:
 
         monkeypatch.setattr(prufer, "solve_ivp", counting)
         find_eigenvalues(sech2_problem(), 3)
-        assert sum(nfev) <= 0.6 * 53_718
+        assert sum(nfev) <= 0.3 * 53_718
+
+    @pytest.mark.parametrize("prob", [sech2_problem(), cli_sech_problem()],
+                             ids=["sech2", "cli-sech"])
+    def test_find_eigenvalues_matches_a_tight_run(self, prob):
+        assert_allclose(find_eigenvalues(prob, 3),
+                        find_eigenvalues(prob, 3, rtol=1e-13), rtol=0.0, atol=1e-11)
 
     def test_sech_pulse_matches_brentq_values(self):
         # spectrum_sech.csv as serial brentq shooting computed it
@@ -140,8 +185,8 @@ class TestFindEigenvalues:
         FREE, ScalarProblem(q=lambda x: 2.5, interval=(0.0, np.pi)),
     ], ids=["free", "constant-shift"])
     def test_flat_q_matches_at_an_interior_point(self, prob):
-        q_sup, x_m = prufer._q_peak(prob)
-        assert q_sup == prob.q(prob.a)
+        q_sup, x_m, q_min = prufer._q_peak(prob)
+        assert q_sup == q_min == prob.q(prob.a)
         assert prob.a < x_m < prob.b
 
     def test_double_well(self):
@@ -164,6 +209,42 @@ class TestFindEigenvalues:
         # Richardson extrapolation from h = 0.02 removes it
         fd = [oracle.eigenvalues(oracle.discretize_interval(q, -30.0, 30.0, h), k=4)
               for h in (0.02, 0.01)]
+        assert_allclose(vals, (4.0 * fd[1] - fd[0]) / 3.0, rtol=0.0, atol=1e-8)
+
+    def test_comparison_bound_brackets_on_the_first_shot(self, monkeypatch):
+        shots = record_mismatch_shots(monkeypatch)
+        find_eigenvalues(sech2_problem(), 3)
+        # every later lambda lies inside the first bracket: no expansion shot
+        hi, lo = shots[0]
+        assert all(np.all((lams > lo) & (lams < hi)) for lams in shots[1:])
+
+    def test_narrow_dip_is_bracketed_by_the_doubling_loop(self, monkeypatch):
+        # a dip far narrower than _q_peak's sample spacing, centred between
+        # two samples: no sample sees it, so the comparison bound from the
+        # sampled minimum overshoots lambda_0.  A bare dip this narrow can
+        # fall between the solver's stages; the mild bump around it puts x_m
+        # beside it and makes the steps there short enough to resolve it.
+        a, b = 0.0, np.pi
+        spacing = (b - a) / 1000
+        centre = a + 500.5 * spacing
+        width = spacing / 6
+        depth = 5.0 / (width * np.sqrt(np.pi))
+
+        def q(x):
+            return (np.exp(-((x - centre) / (2 * spacing)) ** 2)
+                    - depth * np.exp(-((x - centre) / width) ** 2))
+
+        prob = ScalarProblem(q=q, interval=(a, b))
+        q_min = prufer._q_peak(prob)[2]
+        assert q_min == 0.0 and q(centre) < -5000.0
+        shots = record_mismatch_shots(monkeypatch)
+        vals = find_eigenvalues(prob, 1)
+        lo = q_min - 1.0 - 1.0
+        assert vals[0] < lo
+        # the second shot is the loop's one lambda below the first bracket
+        assert len(shots[1]) == 1 and shots[1][0] < lo
+        fd = [oracle.eigenvalues(oracle.discretize_interval(q, a, b, h), k=1)
+              for h in (np.pi / 20000, np.pi / 40000)]
         assert_allclose(vals, (4.0 * fd[1] - fd[0]) / 3.0, rtol=0.0, atol=1e-8)
 
     def test_poschl_teller_matches_fd_oracle(self):
