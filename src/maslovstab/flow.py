@@ -21,13 +21,17 @@ with U = (X; Y), S = Y X^-1 obeys S' = (lambda - Q) - S^2, so it stays
 positive definite from S(-L) > 0 while lambda I - Q > 0, and X never turns
 singular.
 
-Frame stabilization: the evolved 2n x n frame is re-orthonormalized every
-``renorm_every`` units of x by a QR factorization with positive diagonal,
-which preserves the column span exactly and keeps the exponential growth
-of individual columns from destroying the plane.  Each segment after the
-first continues from the last step size the integrator chose freely on the
-previous one, and its end state is the solver's last step, not an
-interpolated value.
+Frame stabilization: at the end of each integration segment the evolved
+2n x n frame is re-orthonormalized by a QR factorization with positive
+diagonal, which preserves the column span exactly and keeps the
+exponential growth of individual columns from destroying the plane.  The
+diagonal of R measures that growth, and it sets the next segment's length:
+no column should grow or shrink by more than e^{ln(1/rtol) / 2}, and no
+segment is more than four times as long as the one before.  Segments end on
+requested points where they can, else on a unit grid, never short of its
+next point.  Each segment after the first continues from the last step size
+the integrator chose freely on the previous one, and its end state is the
+solver's last step, not an interpolated value.
 """
 
 import gc
@@ -56,6 +60,8 @@ TRUNCATION_ADEQUACY = 1e-8
 MAX_PATH_SAMPLES = 1_000_000
 # potential samples behind the spectral ceiling lambda_inf
 LAMBDA_MAX_SAMPLES = 4001
+# largest spacing of recorded conjugate-path frames
+SAMPLE_DX = 0.1
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,6 @@ class FlowOptions:
 
     truncation: float = None     # half-width L of the computational domain
     rtol: float = 1e-8
-    renorm_every: float = 1.0    # x-distance between re-orthonormalizations
-    sample_dx: float = 0.1       # spacing of recorded frames
 
     def resolve(self, model):
         """Fill in the truncation from the model decay rate and validate."""
@@ -77,17 +81,16 @@ class FlowOptions:
                 f"truncation L = {L} leaves tail weight "
                 f"{math.exp(-model.decay_rate * L):.2e} >= {TRUNCATION_ADEQUACY:.0e}"
             )
-        if 2.0 * L > MAX_PATH_SAMPLES * self.renorm_every:
+        if 2.0 * L > MAX_PATH_SAMPLES:
             raise OptionsError(
-                f"[{-L!r}, {L!r}] needs more than {MAX_PATH_SAMPLES} "
-                f"renormalization segments of length {self.renorm_every!r}"
+                f"[{-L!r}, {L!r}] needs more than {MAX_PATH_SAMPLES} path samples "
+                "at unit spacing"
             )
         return replace(self, truncation=float(L))
 
     def refined(self):
-        """Halved tolerances; no caller here, the benchmark's spans wrap it."""
-        return replace(self, rtol=self.rtol * 0.5, renorm_every=self.renorm_every * 0.5,
-                       sample_dx=self.sample_dx * 0.5)
+        """Halved tolerance; no caller here, the benchmark's spans wrap it."""
+        return replace(self, rtol=self.rtol * 0.5)
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,10 @@ def _asymptotic_frames(model, lams, side):
     return unstable, stable, mus
 
 
-def _segment_edges(x0, x1, opts):
-    """Renormalization points of [x0, x1], both ends included."""
-    n_seg = max(1, int(math.ceil(abs(x1 - x0) / opts.renorm_every)))
-    return np.linspace(x0, x1, n_seg + 1)
+def _unit_grid(x0, x1):
+    """Points of [x0, x1] at the least count with spacing at most 1, both
+    ends included."""
+    return np.linspace(x0, x1, max(1, int(math.ceil(abs(x1 - x0)))) + 1)
 
 
 def propagate(model, lams, frames, xs, opts):
@@ -158,15 +161,20 @@ def propagate(model, lams, frames, xs, opts):
 
     ``frames`` is the (K, 2n, n) stack at xs[0]; xs runs monotonically in
     either direction (``[x0, x1]`` for an endpoint-only sweep).  One DOP853
-    run per renormalization segment carries the whole stack, real or
-    complex; the frames are re-orthonormalized by positive-diagonal QR every
-    ``renorm_every`` units of x.  A segment starts with the previous one's
-    last unclipped step and builds the dense interpolant only for samples
-    strictly inside it; the frame at xs[0] is the QR'd input.  Returns
-    (len(xs), K, 2n, n) orthonormal frames.  A potential that is not finite
-    at xs[0] raises SolverError: DOP853 would pick a NaN first step there
-    and never finish it.  A failed segment names the non-finite potential
-    where the solver stopped or at the segment's end, if there is one.
+    run per segment carries the whole stack, real or complex, and the frames
+    are re-orthonormalized by positive-diagonal QR at its end.  The first
+    segment may reach 1 unit of x; after that, the largest |log r_ii| of R's
+    diagonal over the stack, against the budget ln(1/rtol) / 2, sets the
+    next reach, at most four times the last segment's length.  A segment
+    ends on the farthest x of xs within reach; if none is, on the farthest
+    point of ``_unit_grid(xs[0], xs[-1])`` within reach, and at least on the
+    next one.  It starts with the previous one's last unclipped step and
+    builds the dense interpolant only for samples strictly inside it; the
+    frame at xs[0] is the QR'd input.  Returns (len(xs), K, 2n, n)
+    orthonormal frames.  A potential that is not finite at xs[0] raises
+    SolverError: DOP853 would pick a NaN first step there and never finish
+    it.  A failed segment names the non-finite potential where the solver
+    stopped or at the segment's end, if there is one.
     """
     n = model.n
     shape = frames.shape
@@ -199,13 +207,27 @@ def propagate(model, lams, frames, xs, opts):
         out[:] = u
         return out
     sign = math.copysign(1.0, x1 - x0)
-    edges = _segment_edges(x0, x1, opts)
+    # xs and the unit grid as increasing distances along the sweep
+    ts = sign * xs
+    grid = sign * _unit_grid(x0, x1)
+    budget = 0.5 * math.log(1.0 / opts.rtol)
     out[0] = u
     i = 1
+    s0 = x0
+    reach = 1.0
     step = None
-    for s0, s1 in zip(edges[:-1], edges[1:]):
-        j = int(np.searchsorted(sign * xs, sign * s1, side="right"))
-        inner = xs[i : j - 1] if j > i and xs[j - 1] == s1 else xs[i:j]
+    while i < len(xs):
+        t0 = sign * s0
+        j = int(np.searchsorted(ts, t0 + reach, side="right"))
+        if j > i:
+            s1 = xs[j - 1]
+        else:
+            # the farthest grid point within reach, and at least the next one
+            g = max(np.searchsorted(grid, t0 + reach, side="right") - 1,
+                    np.searchsorted(grid, t0, side="right"))
+            s1 = sign * grid[g]
+            j = int(np.searchsorted(ts, grid[g], side="right"))
+        inner = xs[i : j - 1] if xs[j - 1] == s1 else xs[i:j]
         # Q and lambda do not change at s0: the last step the previous
         # segment chose freely holds its error control here as well
         sol = solve_ivp(
@@ -236,13 +258,18 @@ def propagate(model, lams, frames, xs, opts):
         stack = symplectic.qr_positive(ys.T.reshape((-1,) + shape))
         out[i:j] = stack[: j - i]
         u = stack[-1]
+        # |r_ii| = |q_i^H y_i|: column i's growth over the segment
+        r = np.abs(np.einsum("kji,kji->ki", u.conj(), sol.y[:, -1].reshape(shape)))
+        growth = float(np.max(np.abs(np.log(r))))
+        reach = abs(s1 - s0) * budget / max(growth, 0.25 * budget)
+        s0 = s1
         i = j
     return out
 
 
 def _sample_grid(model, lambda_, opts):
-    """Positions of the recorded frames along [-L, L], renormalization
-    points included."""
+    """Positions of the recorded frames along [-L, L], the points of
+    ``_unit_grid(-L, L)`` included."""
     L = opts.truncation
     # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
     # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
@@ -251,13 +278,13 @@ def _sample_grid(model, lambda_, opts):
     row_sums = np.max(np.sum(np.abs(qs), axis=2), axis=1)
     # a NaN sample bounds nothing: fmax skips it
     bound = max(1.0, float(np.fmax.reduce(row_sums)) + abs(lambda_))
-    step = min(opts.sample_dx, 0.7 / (2.0 * bound))
+    step = min(SAMPLE_DX, 0.7 / (2.0 * bound))
     if 2.0 * L > MAX_PATH_SAMPLES * step:
         raise OptionsError(
             f"lambda = {lambda_!r} on [-{L}, {L}] needs more than "
             f"{MAX_PATH_SAMPLES} path samples"
         )
-    edges = _segment_edges(-L, L, opts)
+    edges = _unit_grid(-L, L)
     xs = [edges[0]]
     for x0, x1 in zip(edges[:-1], edges[1:]):
         m = max(2, int(math.ceil((x1 - x0) / step)) + 1)
@@ -388,7 +415,7 @@ def lambda_ceiling(model, lambda_star, truncation):
 
 def evans_determinant(model, lams, opts, x_match):
     """Evans values det[U_-(x_match) | U_+(x_match)] over lams, and U_- at
-    the renormalization points of [-L, x_match], as (m + 1, K, 2n, n).
+    the points of ``_unit_grid(-L, x_match)``, as (m + 1, K, 2n, n).
 
     U_- spans the solutions decaying at -infinity, evolved forward from -L;
     U_+ those decaying at +infinity, evolved backward from +L.  Both come
@@ -403,7 +430,7 @@ def evans_determinant(model, lams, opts, x_match):
     L = opts.truncation
     unstable, _, mu_minus = _asymptotic_frames(model, lams, "minus")
     _, stable, mu_plus = _asymptotic_frames(model, lams, "plus")
-    u_minus = propagate(model, lams, unstable, _segment_edges(-L, x_match, opts), opts)
+    u_minus = propagate(model, lams, unstable, _unit_grid(-L, x_match), opts)
     s_plus = propagate(model, lams, stable, [L, x_match], opts)[-1]
     values = np.linalg.det(np.concatenate([u_minus[-1], s_plus], axis=2))
     if np.iscomplexobj(values):
@@ -620,8 +647,8 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     spans = np.stack([np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)], axis=1)
     L = opts.truncation
     cols = np.append(spans.ravel(), len(lams) - 1)
-    right = propagate(model, lams[cols], left[-1, cols], _segment_edges(0.0, L, opts), opts)
-    xs = np.concatenate([_segment_edges(-L, 0.0, opts), _segment_edges(0.0, L, opts)[1:]])
+    right = propagate(model, lams[cols], left[-1, cols], _unit_grid(0.0, L), opts)
+    xs = np.concatenate([_unit_grid(-L, 0.0), _unit_grid(0.0, L)[1:]])
     _right_edge_empty(xs, np.concatenate([left[:, -1], right[1:, -1]]), lambda_inf)
     if len(spans) == 0:
         return ()
@@ -665,7 +692,10 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
 
 def _right_edge_empty(xs, frames, lambda_inf):
     """Raise unless sym(X^T Y) = X^T S X > DIRICHLET_TOL on every frame of
-    U_-(x; lambda_inf) at xs: then S = Y X^-1 stays positive definite."""
+    U_-(x; lambda_inf) at xs: then S = Y X^-1 stays positive definite.
+
+    The top edge passes the 2 ceil(L) + 1 points of the unit grids of
+    [-L, 0] and [0, L], however long the segments that reached them were."""
     n = frames.shape[-1]
     xty = np.swapaxes(frames[:, :n], 1, 2) @ frames[:, n:]
     lows = np.linalg.eigvalsh(0.5 * (xty + np.swapaxes(xty, 1, 2)))[:, 0]

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -149,6 +151,15 @@ class TestBasics:
             "OptionsError", "ContourError", "SeparationError", "CliUsageError",
             "DiscretizationError", "SolverError",
         )
+
+    def test_flow_options_hold_only_what_the_cli_sets(self):
+        from maslovstab import cli, flow
+
+        # no numerical knob sits beside the two values a command can set
+        fields = [f.name for f in dataclasses.fields(flow.FlowOptions)]
+        assert fields == ["truncation", "rtol"]
+        args = argparse.Namespace(truncation=12.0, rtol=1e-9)
+        assert cli._flow_options(args) == flow.FlowOptions(truncation=12.0, rtol=1e-9)
 
     @pytest.mark.parametrize("argv", [
         ("scalar_sech_pulse", "--contour-center", "1.25", "0",
@@ -469,7 +480,7 @@ class TestArtifacts:
         assert files[0] == files[1]
 
     def test_conjugate_csv_flags_one_row_per_event(self, capsys, tmp_path):
-        # strong potential: the sample step (0.032) is a third of sample_dx,
+        # strong potential: the sample step (0.032) is a third of SAMPLE_DX,
         # and each event flags only the sample nearest to it
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(dict(

@@ -204,6 +204,77 @@ class TestAccuracy:
         assert np.max(np.abs(np.angle(got / ref))) <= 1e-6
 
 
+# Poschl-Teller wells whose depths s(s + 1) = 425 and 105 put no eigenvalue
+# at 0 (420 or 110 would): one eigenvalue above 1e-3 in each model
+STIFF_SCALAR = from_config({
+    "n": 1, "kind": "pulse", "decay_rate": 2.0,
+    "potential": {"kind": "expression", "entries": [["-400 + 425*sech(x)**2"]]},
+    "q_minus": [[-400.0]], "q_plus": [[-400.0]],
+})
+STIFF_PAIR = from_config({
+    "n": 2, "kind": "pulse", "decay_rate": 1.0,
+    "potential": {"kind": "expression", "entries": [
+        ["-1 + 3*sech(x/2)**2", "0"], ["0", "-100 + 105*sech(x)**2"]]},
+    "q_minus": [[-1.0, 0.0], [0.0, -100.0]],
+    "q_plus": [[-1.0, 0.0], [0.0, -100.0]],
+})
+
+
+class TestStrongTails:
+    """Tails where one unit of x grows a column by e^20 (n = 1), or splits
+    the columns by e^9 (n = 2), against a budget of e^9.2 per segment."""
+
+    @pytest.mark.parametrize("model, event", [
+        (STIFF_SCALAR, 0.294667151), (STIFF_PAIR, 0.001066631),
+    ], ids=["scalar", "pair"])
+    def test_counts_agree_and_events_match_a_tight_run(self, model, event):
+        rep = compare_counts(model)
+        assert (rep.conjugate_count, rep.winding_count, rep.oracle_count) == (1, 1, 1)
+        default = maslov_square(model, 1e-3)
+        tight = maslov_square(model, 1e-3, FlowOptions(rtol=1e-11))
+        assert default.net_index == tight.net_index == 0
+        # the scalar's top event, a secant root of E at mu ~ 20, sits 3.5e-8
+        # from the tight run, as it did with a renormalization every unit
+        for edge, tol in (("left_events", 1e-8), ("top_events", 5e-8)):
+            got, ref = getattr(default, edge), getattr(tight, edge)
+            assert [(e.multiplicity, e.direction) for e in got] == \
+                [(e.multiplicity, e.direction) for e in ref]
+            assert all(abs(a.param - b.param) <= tol for a, b in zip(got, ref))
+        (left,) = default.left_events
+        assert abs(left.param - event) < 1e-9
+
+    @pytest.mark.parametrize("model", [STIFF_SCALAR, STIFF_PAIR], ids=["scalar", "pair"])
+    def test_frames_stay_finite(self, model):
+        opts = FlowOptions().resolve(model)
+        _, frames = flow._unstable_path(model, 1e-3, opts)
+        lams = np.array([1e-3, 2.0 + 1.0j])
+        values, u_minus = flow.evans_determinant(model, lams, opts, 0.0)
+        for stack in (frames, u_minus, values):
+            assert np.all(np.isfinite(stack))
+
+    def test_left_tail_segments_keep_the_growth_budget(self, monkeypatch):
+        # on the conjugate path the frame grows like e^{20 x} in the left
+        # tail; after the first unit segment, the R diagonal keeps each
+        # segment's growth |u(s1)| / |u(s0)| within e^{ln(1/rtol) / 2}
+        segments = []
+        solve = flow.solve_ivp
+
+        def recording(fun, t_span, y0, **kwargs):
+            sol = solve(fun, t_span, y0, **kwargs)
+            growth = np.log(np.linalg.norm(sol.y[:, -1]) / np.linalg.norm(y0))
+            segments.append((float(t_span[1] - t_span[0]), float(t_span[1]), growth))
+            return sol
+
+        monkeypatch.setattr(flow, "solve_ivp", recording)
+        opts = FlowOptions().resolve(STIFF_SCALAR)
+        flow._unstable_path(STIFF_SCALAR, 1e-3, opts)
+        budget = 0.5 * np.log(1.0 / opts.rtol)
+        assert segments[0][0] <= 1.0 and segments[0][2] > 2 * budget
+        tail = [growth for _, end, growth in segments[1:] if end < -3.0]
+        assert len(tail) >= 12
+        assert max(tail) <= budget * (1.0 + 1e-6)
+
+
 def unstable_path(model, lam, opts=None):
     """Sample grid and frames of the plane decaying at -infinity."""
     return flow._unstable_path(model, lam, (opts or FlowOptions()).resolve(model))
@@ -396,29 +467,35 @@ class TestWorkBudget:
         events = detect_conjugate_points(SECH, 1e-3)
         # the root search reuses the phase at the bracket's upper end
         assert len(spans) == len(set(spans))
-        # as before the reuse, bit for bit
-        assert events == (symplectic.CrossingEvent(0.0010666314044902644, 1, 1),)
+        # pinned bit for bit
+        assert events == (symplectic.CrossingEvent(0.0010666317715014035, 1, 1),)
 
     def test_sweep_segments_carry_the_step_and_skip_the_interpolant(self, monkeypatch):
         calls = []
         solve = flow.solve_ivp
 
-        def recording(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            calls.append((kwargs, sol.nfev))
+        def recording(fun, t_span, *args, **kwargs):
+            sol = solve(fun, t_span, *args, **kwargs)
+            calls.append((t_span, kwargs, sol.nfev))
             return sol
 
         monkeypatch.setattr(flow, "solve_ivp", recording)
         opts = FlowOptions().resolve(SECH)
         lams = np.linspace(1e-3, flow.lambda_ceiling(SECH, 1e-3, opts.truncation), 129)
         flow.evans_determinant(SECH, lams, opts, 0.0)
-        # one call per renormalization segment: 21 from -L to 0, 21 from +L
-        assert len(calls) == 42
-        # a fresh start on every segment averages 53 RHS evaluations here
-        assert np.mean([nfev for _, nfev in calls]) <= 42
-        # every segment here is endpoint-only: its end state is the solver's
-        assert not any(kw.get("t_eval") is not None or kw.get("dense_output")
-                       for kw, _ in calls)
+        # one call per renormalization segment: one grid cell, then four at a
+        # time, 6 from -L to 0 and 6 from +L, where one per cell made 21 + 21
+        assert len(calls) == 12
+        # 42 segments of at most 42 RHS evaluations each bound the work
+        assert sum(nfev for _, _, nfev in calls) <= 42 * 42
+        # every end state is the solver's; the interpolant is built only for
+        # the frames of [-L, 0]'s unit grid strictly inside a segment, never
+        # on the endpoint-only sweep from +L
+        grid = flow._unit_grid(-opts.truncation, 0.0)
+        for (a, b), kw, _ in calls:
+            assert kw.get("t_eval") is None
+            inside = np.any((grid > min(a, b)) & (grid < max(a, b)))
+            assert bool(kw.get("dense_output")) == bool(a < 0 and inside)
 
     @pytest.mark.parametrize("model, lam, opts", [
         (FRONT, 0.02, None),
