@@ -52,7 +52,7 @@ from .errors import (
     PhaseStepError,
     SolverError,
 )
-from .models import check_essential_stability
+from .models import check_essential_stability, potential_samples
 from .symplectic import CrossingEvent
 
 TRUNCATION_ADEQUACY = 1e-8
@@ -171,10 +171,9 @@ def propagate(model, lams, frames, xs, opts):
     next one.  It starts with the previous one's last unclipped step and
     builds the dense interpolant only for samples strictly inside it; the
     frame at xs[0] is the QR'd input.  Returns (len(xs), K, 2n, n)
-    orthonormal frames.  A potential that is not finite at xs[0] raises
-    SolverError: DOP853 would pick a NaN first step there and never finish
-    it.  A failed segment names the non-finite potential where the solver
-    stopped or at the segment's end, if there is one.
+    orthonormal frames.  Q is checked by ``potential_samples`` at xs[0],
+    where DOP853 would pick a NaN first step and never finish it, and, when
+    a segment fails, where the solver stopped and at the segment's end.
     """
     n = model.n
     shape = frames.shape
@@ -197,9 +196,7 @@ def propagate(model, lams, frames, xs, opts):
         return out.ravel()
 
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(q(xs[0]))):
-        raise SolverError(f"potential is not finite at x = {float(xs[0])!r}, "
-                          "where the frame evolution starts")
+    potential_samples(q, xs[:1])
     u = symplectic.qr_positive(frames)
     out = np.empty((len(xs),) + shape, dtype=u.dtype)
     x0, x1 = xs[0], xs[-1]
@@ -236,12 +233,7 @@ def propagate(model, lams, frames, xs, opts):
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
-            for x in (last_x, s1):
-                if not np.all(np.isfinite(q(x))):
-                    raise SolverError(
-                        f"potential is not finite at x = {float(x)!r}, which "
-                        f"stopped the frame evolution on [{s0:.6g}, {s1:.6g}]"
-                    )
+            potential_samples(q, [last_x, s1])
             raise SolverError(
                 f"frame evolution failed on [{s0:.6g}, {s1:.6g}]: {sol.message}"
             )
@@ -274,10 +266,8 @@ def _sample_grid(model, lambda_, opts):
     # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
     # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
     # never skipped regardless of the potential's strength
-    qs = np.array([model.q(x) for x in np.linspace(-L, L, 201)])
-    row_sums = np.max(np.sum(np.abs(qs), axis=2), axis=1)
-    # a NaN sample bounds nothing: fmax skips it
-    bound = max(1.0, float(np.fmax.reduce(row_sums)) + abs(lambda_))
+    qs = potential_samples(model.q, np.linspace(-L, L, 201))
+    bound = max(1.0, float(np.max(np.sum(np.abs(qs), axis=2))) + abs(lambda_))
     step = min(SAMPLE_DX, 0.7 / (2.0 * bound))
     if 2.0 * L > MAX_PATH_SAMPLES * step:
         raise OptionsError(
@@ -335,17 +325,11 @@ def _angle_count(model, lambda_, xs, frames):
     diagonal QR, is integrated by the trapezoid rule.  det W = e^{-2i Theta}
     and each crossing drops the sum of W's eigen-angles phi in (-pi, pi] by
     2 pi, so N = (sum phi(x_0) - sum phi(x_end) - 2 Delta Theta) / 2 pi.
-    A Q that is not finite at a sample raises SolverError naming its x.
+    Q is read at the samples through ``potential_samples``.
     """
     n = model.n
     x, y = frames[:, :n], frames[:, n:]
-    qs = np.array([model.q(t) for t in xs])
-    finite = np.isfinite(qs).all(axis=(1, 2))
-    if not finite.all():
-        raise SolverError(
-            f"potential is not finite at x = {float(xs[np.argmin(finite)])!r}, "
-            "a sample of the conjugate-point path"
-        )
+    qs = potential_samples(model.q, xs)
     shifted = lambda_ * np.eye(n) - qs
     rates = np.einsum("kji,kjl,kli->k", x, shifted, x) - np.sum(y * y, axis=(1, 2))
     turn = np.trapezoid(rates, xs)
@@ -392,15 +376,12 @@ def _conjugate_points_and_path(model, lambda_star, opts):
     return tuple(events), (xs, frames)
 
 
-def lambda_max_bound(model, truncation=None):
-    """lambda_inf = 1 + sup_x max-eig Q(x): no spectrum above it."""
-    L = truncation
-    if L is None:
-        L = FlowOptions().resolve(model).truncation
-    qs = np.array([model.q(x) for x in np.linspace(-L, L, LAMBDA_MAX_SAMPLES)])
+def lambda_max_bound(model, truncation):
+    """lambda_inf = 1 + sup_x max-eig Q(x) on [-L, L]: no spectrum above it."""
+    qs = potential_samples(model.q, np.linspace(-truncation, truncation,
+                                                LAMBDA_MAX_SAMPLES))
     tops = qs[:, 0, 0] if model.n == 1 else np.linalg.eigvalsh(qs)[:, -1]
-    # a NaN sample bounds nothing: fmax skips it
-    return 1.0 + float(np.fmax.reduce(tops, initial=-np.inf))
+    return 1.0 + float(np.max(tops))
 
 
 def lambda_ceiling(model, lambda_star, truncation):
@@ -410,7 +391,7 @@ def lambda_ceiling(model, lambda_star, truncation):
     potentials; any level above the spectrum works, so it is lifted to at
     least lambda_star + 1.
     """
-    return max(lambda_max_bound(model, truncation=truncation), lambda_star + 1.0)
+    return max(lambda_max_bound(model, truncation), lambda_star + 1.0)
 
 
 def evans_determinant(model, lams, opts, x_match):

@@ -30,6 +30,9 @@ KINDS = ("pulse", "front", "custom")
 
 _FLOAT64 = np.dtype(np.float64)
 
+# largest entry of Q - Q^T a symmetric matrix may show
+SYMMETRY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class WaveModel:
@@ -73,11 +76,10 @@ def check_essential_stability(model):
     return EssentialSpectrumCheck(stable=top < 0.0, max_eig_qinf=top)
 
 
-def check_decay(model, x_max=None):
+def check_decay(model):
     """Verify Q approaches its limits at the declared exponential rate."""
     rate = model.decay_rate
-    if x_max is None:
-        x_max = max(23.0 / rate, 10.0)
+    x_max = max(23.0 / rate, 10.0)
     x_mid = 0.4 * x_max
 
     def residual(x):
@@ -95,7 +97,27 @@ def check_decay(model, x_max=None):
         )
 
 
-def validate_model(model, x_check=20.0, samples=201):
+def potential_samples(q, xs):
+    """q at each x of xs, stacked on a leading axis.
+
+    The one check of a potential sample: ModelValidationError names the
+    first x whose sample is not finite or, for (n, n) samples, differs from
+    its transpose by more than SYMMETRY_TOL.
+    """
+    qs = np.array([q(x) for x in xs], dtype=float)
+    finite = np.isfinite(qs.reshape(len(qs), -1)).all(axis=1)
+    bad = ~finite
+    if qs.ndim == 3 and qs.shape[1] == qs.shape[2]:
+        # a NaN compares false here; it is caught as not finite
+        bad |= np.max(np.abs(qs - qs.transpose(0, 2, 1)), axis=(1, 2)) > SYMMETRY_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "not finite" if not finite[k] else "asymmetric"
+        raise ModelValidationError(f"potential is {what} at x = {float(xs[k])!r}")
+    return qs
+
+
+def validate_model(model):
     """Check the structural invariants; raises ModelValidationError."""
     if model.n < 1:
         raise ModelValidationError("n must be positive")
@@ -107,19 +129,13 @@ def validate_model(model, x_check=20.0, samples=201):
         m = getattr(model, attr)
         if m.shape != (model.n, model.n):
             raise ModelValidationError(f"{attr} must be {model.n} x {model.n}")
-        if np.max(np.abs(m - m.T)) > 1e-12:
+        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ModelValidationError(f"{attr} is not symmetric")
-    xs = np.linspace(-x_check, x_check, samples)
-    for x in xs:
-        qx = model.q(x)
-        if qx.shape != (model.n, model.n):
-            raise ModelValidationError(
-                f"potential returns shape {qx.shape} at x = {x:.3g}"
-            )
-        if not np.all(np.isfinite(qx)):
-            raise ModelValidationError(f"potential is not finite at x = {x:.3g}")
-        if np.max(np.abs(qx - qx.T)) > 1e-12:
-            raise ModelValidationError(f"potential asymmetric at x = {x:.3g}")
+    xs = np.linspace(-20.0, 20.0, 201)
+    shape = potential_samples(model.q, xs).shape[1:]
+    if shape != (model.n, model.n):
+        raise ModelValidationError(f"potential returns shape {shape}, not "
+                                   f"({model.n}, {model.n})")
     check_decay(model)
     if model.kind == "pulse":
         if np.max(np.abs(model.q_minus - model.q_plus)) > 1e-12:
@@ -365,7 +381,7 @@ def _symmetric_array(doc, key, n):
         raise ConfigError(key, f"must be an {n} x {n} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(key, "entries must be finite")
-    if np.max(np.abs(arr - arr.T)) > 1e-12:
+    if np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
         raise ConfigError(key, "symmetry violated")
     return arr
 

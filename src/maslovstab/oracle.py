@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 
 from .errors import DiscretizationError, NonHyperbolicError, SeparationError
-from .models import check_essential_stability
+from .models import check_essential_stability, potential_samples
 
 MAX_UNKNOWNS = 40_000
 MAX_STEP = 0.05
@@ -55,7 +55,7 @@ class Discretization:
 
 def _build_band(q_at, xs, h, n):
     npt = len(xs)
-    qs = np.array([np.atleast_2d(np.asarray(q_at(x), dtype=float)) for x in xs])
+    qs = potential_samples(q_at, xs).reshape(npt, n, n)
     band = np.zeros((n + 1, n * npt))
     inv_h2 = 1.0 / (h * h)
     band[0] = np.diagonal(qs, axis1=1, axis2=2).ravel() - 2.0 * inv_h2
@@ -86,12 +86,7 @@ def discretize_interval(q, a, b, h, n=1):
     npt = int(npt)
     h_eff = (b - a) / (npt + 1)
     xs = a + h_eff * np.arange(1, npt + 1)
-    band = _build_band(q, xs, h_eff, n)
-    finite = np.isfinite(band).all(axis=0)
-    if not finite.all():
-        x = float(xs[np.argmin(finite) // n])
-        raise DiscretizationError(f"potential is not finite at grid point x = {x!r}")
-    return Discretization(grid=xs, h=h_eff, n=n, band=band)
+    return Discretization(grid=xs, h=h_eff, n=n, band=_build_band(q, xs, h_eff, n))
 
 
 def discretize(model, L, h):

@@ -34,6 +34,7 @@ from .errors import (
     BracketError,
     SolverError,
 )
+from .models import potential_samples
 
 ANGLE_TOL = 1e-10
 RESONANCE_TOL = 1e-7
@@ -186,11 +187,13 @@ def count_eigenvalues_above(prob, lambda_star, rtol=1e-10):
     return int(np.floor(theta_end / np.pi))
 
 
-def _q_peak(prob, samples=1001):
-    """max q over `samples` points of [a, b], the matching point x_m (the
-    interior sample where q is largest) and min q over the same points."""
-    xs = np.linspace(prob.a, prob.b, samples)
-    qs = np.array([prob.q(x) for x in xs], dtype=float)
+def _q_peak(prob):
+    """max q over 1001 points of [a, b], the matching point x_m (the
+    interior sample where q is largest) and min q over the same points.
+    q is read through ``potential_samples``, so a sample that is not finite
+    raises ModelValidationError naming its x."""
+    xs = np.linspace(prob.a, prob.b, 1001)
+    qs = potential_samples(prob.q, xs)
     return float(qs.max()), float(xs[1 + np.argmax(qs[1:-1])]), float(qs.min())
 
 
@@ -204,7 +207,8 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     new points in one two-leg integration.  The first bracket runs from
     sup q + 1 down to the Dirichlet comparison bound
     inf q - (N pi / (b - a))^2 - 1 on N = how_many, both read from 1001
-    samples of q; it is doubled downwards while it fails to bracket.
+    samples of q by ``_q_peak``, which refuses a sample that is not finite;
+    it is doubled downwards while it fails to bracket.
 
     Each round places MULTISECTION_POINTS points in every open bracket.  An
     eigenfunction that lives near x_m makes Delta smooth in lambda, so the

@@ -90,3 +90,35 @@ def test_public_names_have_a_caller_or_a_reason():
     assert [name for name in LIBRARY_API
             if name in referenced or name not in PUBLIC_NAMES] == []
     assert all(reason and "\n" not in reason for reason in LIBRARY_API.values())
+
+
+def _src_sites(matches):
+    """(module, innermost function) of every node in src/ that ``matches``;
+    docstrings are left out."""
+    sites = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        docs = {node.body[0].value for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if node in docs or not matches(node):
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parents.get(scope)
+            sites.add((path.stem, scope.name if scope else "<module>"))
+    return sites
+
+
+def test_one_sampler_holds_the_bad_potential_policy():
+    # a potential sample that is not finite or not symmetric is refused in
+    # one place with one message form, and none is skipped
+    for phrase in ("not finite", "asymmetric"):
+        assert _src_sites(lambda node: isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)
+                          and phrase in node.value) == {("models", "potential_samples")}
+    assert _src_sites(lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "fmax") == set()

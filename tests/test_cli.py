@@ -40,15 +40,21 @@ def run(capsys, *argv):
 
 
 def _nan_potential_error(tmp_path, term, kind, command):
-    """The one JSON error line of a run on the sech pulse plus ``term``.
+    """The one JSON error line of a run on the sech pulse plus ``term``."""
+    entry = f"-1 + 3*sech(x/2)**2 + {term}"
+    return _config_error(tmp_path, dict(
+        SECH_CONFIG, kind=kind, potential={"kind": "expression", "entries": [[entry]]}),
+        command)
+
+
+def _config_error(tmp_path, config, command):
+    """The one JSON error line of a run on ``config`` at L = 25.
 
     Runs in a subprocess, so a hanging integration runs into the timeout
     instead of stalling the suite.
     """
-    entry = f"-1 + 3*sech(x/2)**2 + {term}"
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps(dict(
-        SECH_CONFIG, kind=kind, potential={"kind": "expression", "entries": [[entry]]})))
+    cfg.write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -58,6 +64,14 @@ def _nan_potential_error(tmp_path, term, kind, command):
     assert proc.returncode == 1 and proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     return json.loads(line)
+
+
+# every command that samples Q on a grid of [-L, L]
+_SAMPLING_COMMANDS = [
+    ["conjugate", "--lambda-star", "1e-3"], ["square", "--lambda-star", "1e-3"],
+    ["compare"], ["evans"], ["oracle", "--lambda-star", "1e-3"],
+    ["spectrum", "--count", "2"],
+]
 
 
 class TestBasics:
@@ -296,8 +310,8 @@ class TestBasics:
         assert code == 1 and out == ""
         (line,) = err.splitlines()
         payload = json.loads(line)
-        assert payload["error"] == "DiscretizationError"
-        assert "not finite at grid point x = " in payload["message"]
+        assert payload["error"] == "ModelValidationError"
+        assert "potential is not finite at x = " in payload["message"]
 
     @pytest.mark.parametrize("shift", ["+ 25", "- 25"])
     @pytest.mark.parametrize("command", [
@@ -310,7 +324,7 @@ class TestBasics:
         # error names that x whether a path starts or ends there
         error = _nan_potential_error(tmp_path, f"0*log(abs(x {shift}))", "pulse",
                                      command)
-        assert error["error"] == "SolverError"
+        assert error["error"] == "ModelValidationError"
         x = -float(shift.replace(" ", ""))
         assert f"potential is not finite at x = {x!r}" in error["message"]
 
@@ -323,8 +337,60 @@ class TestBasics:
         # integration steps over it, the angle count does not
         error = _nan_potential_error(tmp_path, "0*log(abs(x - 3.3))", "custom",
                                      command)
-        assert error["error"] == "SolverError"
+        assert error["error"] == "ModelValidationError"
         assert "potential is not finite at x = 3.3" in error["message"]
+
+    @pytest.mark.parametrize("command", _SAMPLING_COMMANDS,
+                             ids=[c[0] for c in _SAMPLING_COMMANDS])
+    def test_potential_not_finite_outside_the_validation_window_exit_one(
+            self, tmp_path, command):
+        # x = 22.5 lies in (20, L] and on the lambda_inf, path-step, Prufer
+        # peak, FD and conjugate-path grids: every command that samples Q
+        # there refuses it with the one message
+        error = _nan_potential_error(tmp_path, "0*log(abs(x - 22.5))", "custom",
+                                     command)
+        assert error == {"error": "ModelValidationError",
+                         "message": "potential is not finite at x = 22.5"}
+
+    @pytest.mark.parametrize("command", [
+        ["square", "--lambda-star", "1e-3"], ["compare"], ["evans"],
+    ], ids=["square", "compare", "evans"])
+    def test_potential_not_finite_at_a_ceiling_sample_exit_one(self, tmp_path,
+                                                               command):
+        # a sample of lambda_max_bound's 4001-point grid and of no other one
+        x = 0.08750000000000213
+        error = _nan_potential_error(tmp_path, f"0*log(abs(x - {x!r}))", "custom",
+                                     command)
+        assert error == {"error": "ModelValidationError",
+                         "message": f"potential is not finite at x = {x!r}"}
+
+    def test_potential_not_finite_at_a_peak_sample_names_x(self, tmp_path):
+        # a sample of prufer._q_peak's 1001 points at L = 25: the search
+        # names it instead of failing on a step size
+        x = 0.05000000000000071
+        error = _nan_potential_error(tmp_path, f"0*log(abs(x - {x!r}))", "custom",
+                                     ["spectrum", "--count", "2"])
+        assert error == {"error": "ModelValidationError",
+                         "message": f"potential is not finite at x = {x!r}"}
+
+    @pytest.mark.parametrize("command", [["oracle", "--lambda-star", "1e-3"], ["evans"]],
+                             ids=["oracle", "evans"])
+    def test_potential_asymmetric_outside_the_validation_window_exit_one(
+            self, tmp_path, command):
+        # symmetric to 1e-12 on [-20, 20]; the (0, 1) entry peaks at x = 22.5
+        config = {
+            "n": 2, "kind": "custom", "decay_rate": 1.0,
+            "potential": {"kind": "expression", "entries": [
+                ["-1 + 3*sech(x/2)**2", "exp(-100*(x - 22.5)**2)"],
+                ["0", "-2 + 3*sech(x/2)**2"],
+            ]},
+            "q_minus": [[-1.0, 0.0], [0.0, -2.0]],
+            "q_plus": [[-1.0, 0.0], [0.0, -2.0]],
+        }
+        error = _config_error(tmp_path, config, command)
+        assert error["error"] == "ModelValidationError"
+        head, x = error["message"].split(" = ")
+        assert head == "potential is asymmetric at x" and 21.5 < float(x) < 23.5
 
     def test_config_model_runs(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"

@@ -85,7 +85,8 @@ class TestWinding:
     def test_refinement_rounds_bounded(self):
         # winding_number raises PhaseStepError when 3 rounds do not suffice
         assert flow.MAX_REFINE == 3
-        contour = Contour.enclosing(1e-3, flow.lambda_max_bound(SECH))
+        L = flow.FlowOptions().resolve(SECH).truncation
+        contour = Contour.enclosing(1e-3, flow.lambda_max_bound(SECH, L))
         assert winding_number(SECH, contour) == 1
 
 

@@ -424,9 +424,9 @@ COUPLED_2X2 = {
 
 class TestLambdaMaxBound:
     def test_values(self):
-        assert_allclose(lambda_max_bound(SECH), 3.0, atol=1e-6)
-        assert_allclose(lambda_max_bound(FRONT), 2.0, atol=1e-6)
-        assert_allclose(lambda_max_bound(DEMO), 3.0, atol=1e-6)
+        for model, value in ((SECH, 3.0), (FRONT, 2.0), (DEMO, 3.0)):
+            L = FlowOptions().resolve(model).truncation
+            assert_allclose(lambda_max_bound(model, L), value, atol=1e-6)
 
     @pytest.mark.parametrize("model", [SECH, FRONT, DEMO, from_config(COUPLED_2X2)],
                              ids=["sech", "front", "demo", "coupled-2x2"])
@@ -436,7 +436,7 @@ class TestLambdaMaxBound:
         for x in np.linspace(-L, L, 4001):
             q = model.q(x)
             top = max(top, float(q[0, 0] if model.n == 1 else np.linalg.eigvalsh(q)[-1]))
-        got = np.float64(lambda_max_bound(model))
+        got = np.float64(lambda_max_bound(model, L))
         assert np.array_equal(got.view(np.int64), np.float64(1.0 + top).view(np.int64))
 
 

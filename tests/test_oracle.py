@@ -12,6 +12,7 @@ from maslovstab import oracle
 from maslovstab.cli import main
 from maslovstab.errors import (
     DiscretizationError,
+    ModelValidationError,
     NonHyperbolicError,
     SeparationError,
 )
@@ -51,7 +52,7 @@ class TestDiscretize:
     def test_non_finite_band_names_the_first_grid_point(self):
         xs = np.pi / 63 * np.arange(1, 63)   # the grid h = 0.05 snaps to
         first = float(xs[xs > 0.5][0])
-        with pytest.raises(DiscretizationError, match=re.escape(f"x = {first!r}")):
+        with pytest.raises(ModelValidationError, match=re.escape(f"x = {first!r}")):
             oracle.discretize_interval(lambda x: np.nan if x > 0.5 else 0.0,
                                        0.0, np.pi, 0.05)
 
