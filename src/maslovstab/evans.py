@@ -1,11 +1,14 @@
 """Evans-function winding counts and the one three-channel unstable count.
 
 The Evans value at lambda is the determinant of the 2n x 2n matrix whose
-column blocks span the solutions decaying at -infinity (evolved forward to
-the matching point) and at +infinity (evolved backward).  Zeros coincide
-with eigenvalues of the linearized operator.  Frames are renormalized by
-positive-diagonal QR during evolution, which rescales the determinant by a
-positive factor only, and a unit-modulus factor takes out the phase
+column blocks span the solutions decaying at -infinity and at +infinity,
+matched at x = 0.  Both come from one forward run over [-L, 0]: the
++infinity block rides along reflected, (X(-t); -Y(-t)), which solves the
+same system with Q(-t).  A winding asks for no frames inside [-L, 0], so
+none are interpolated.  Zeros coincide with eigenvalues of the linearized
+operator.  Frames are renormalized by positive-diagonal QR during
+evolution, which rescales the determinant by a positive factor only, and a
+unit-modulus factor takes out the phase
 e^{iL Im(sum mu_- + sum mu_+)} that starting the frames at -+L puts in: E
 is analytic in lambda up to a positive factor, so its winding counts
 zeros and its sampled phase stays slow along contours.  Only the integer

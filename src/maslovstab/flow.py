@@ -15,7 +15,11 @@ is a contractible loop, so its net Maslov index must vanish: conjugate
 points on the left edge (+1 each) balance eigenvalue crossings on the top
 edge (-1 each), and the right and bottom edges stay empty.  The top edge
 counts its crossings as zeros of the Evans function, by the same contour
-winding routine that serves the Evans channel (``evans``).  The right edge
+winding routine that serves the Evans channel (``evans``).  Each Evans value
+is one forward run over [-L, 0]: if U = (X; Y) solves U' = J B(x) U, then
+(X(-t); -Y(-t)) solves it with Q(-t), so the plane decaying at +infinity
+rides in the same stack, reflected, and frames inside [-L, 0] are kept only
+where a caller asks for them.  The right edge
 is certified empty on the frames the top edge integrates at lambda_inf:
 with U = (X; Y), S = Y X^-1 obeys S' = (lambda - Q) - S^2, so it stays
 positive definite from S(-L) > 0 while lambda I - Q > 0, and X never turns
@@ -156,11 +160,12 @@ def _unit_grid(x0, x1):
     return np.linspace(x0, x1, max(1, int(math.ceil(abs(x1 - x0)))) + 1)
 
 
-def propagate(model, lams, frames, xs, opts):
+def propagate(model, lams, frames, xs, opts, mirrored=0):
     """Frames of U' = J B(x; lambda_k) U at each x in xs, for all k at once.
 
     ``frames`` is the (K, 2n, n) stack at xs[0]; xs runs monotonically in
-    either direction (``[x0, x1]`` for an endpoint-only sweep).  One DOP853
+    either direction (``[x0, x1]`` for an endpoint-only sweep).  The last
+    ``mirrored`` frames of the stack see Q(-x) in place of Q(x).  One DOP853
     run per segment carries the whole stack, real or complex, and the frames
     are re-orthonormalized by positive-diagonal QR at its end.  The first
     segment may reach 1 unit of x; after that, the largest |log r_ii| of R's
@@ -173,7 +178,8 @@ def propagate(model, lams, frames, xs, opts):
     frame at xs[0] is the QR'd input.  Returns (len(xs), K, 2n, n)
     orthonormal frames.  Q is checked by ``potential_samples`` at xs[0],
     where DOP853 would pick a NaN first step and never finish it, and, when
-    a segment fails, where the solver stopped and at the segment's end.
+    a segment fails, where the solver stopped and at the segment's end;
+    with mirrored frames, at the mirrors of those points too.
     """
     n = model.n
     shape = frames.shape
@@ -181,22 +187,30 @@ def propagate(model, lams, frames, xs, opts):
     lam_col = np.asarray(lams)[:, None, None]
     q = model.q
     last_x = None
+    # rows [a, b) of the stack, and whether they read Q at -x
+    split = k - mirrored
+    parts = [(0, split, False), (split, k, True)] if mirrored else [(0, k, False)]
 
     def rhs(x, y):
         nonlocal last_x
         last_x = x
         u = y.reshape(shape)
-        top = u[:, :n]
-        # one (n, n) @ (n, K n) product: a stacked matmul makes one BLAS call
-        # per lambda, with the same sums
-        q_top = (q(x) @ top.transpose(1, 0, 2).reshape(n, k * n)).reshape(n, k, n)
         out = np.empty_like(u)
         out[:, :n] = u[:, n:]
-        out[:, n:] = lam_col * top - q_top.transpose(1, 0, 2)
+        for a, b, flip in parts:
+            top = u[a:b, :n]
+            # one (n, n) @ (n, K n) product: a stacked matmul makes one BLAS
+            # call per lambda, with the same sums
+            q_top = (q(-x if flip else x) @ top.transpose(1, 0, 2).reshape(n, (b - a) * n)
+                     ).reshape(n, b - a, n)
+            out[a:b, n:] = lam_col[a:b] * top - q_top.transpose(1, 0, 2)
         return out.ravel()
 
+    def check(*points):
+        potential_samples(q, points + tuple(-p for p in points) if mirrored else points)
+
     xs = np.asarray(xs, dtype=float)
-    potential_samples(q, xs[:1])
+    check(xs[0])
     u = symplectic.qr_positive(frames)
     out = np.empty((len(xs),) + shape, dtype=u.dtype)
     x0, x1 = xs[0], xs[-1]
@@ -233,7 +247,7 @@ def propagate(model, lams, frames, xs, opts):
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
-            potential_samples(q, [last_x, s1])
+            check(last_x, s1)
             raise SolverError(
                 f"frame evolution failed on [{s0:.6g}, {s1:.6g}]: {sol.message}"
             )
@@ -394,30 +408,37 @@ def lambda_ceiling(model, lambda_star, truncation):
     return max(lambda_max_bound(model, truncation), lambda_star + 1.0)
 
 
-def evans_determinant(model, lams, opts, x_match):
-    """Evans values det[U_-(x_match) | U_+(x_match)] over lams, and U_- at
-    the points of ``_unit_grid(-L, x_match)``, as (m + 1, K, 2n, n).
+def evans_determinant(model, lams, opts, xs):
+    """Evans values det[U_-(0) | U_+(0)] over lams, and U_- at xs, as
+    (len(xs), K, 2n, n).
 
-    U_- spans the solutions decaying at -infinity, evolved forward from -L;
-    U_+ those decaying at +infinity, evolved backward from +L.  Both come
-    out orthonormalized, which rescales the determinant by a positive
-    factor only.  Starting from (v; +-mu v) at -+L instead of from the
-    solutions normalized at infinity multiplies the determinant by
-    e^{(sum mu_- + sum mu_+) L}; the unit-modulus factor
+    xs runs from -L to 0, both included; ``(-L, 0.0)`` asks for no frame
+    inside, so no interpolant is built.  U_- spans the solutions decaying
+    at -infinity, evolved forward from -L; U_+ those decaying at +infinity.
+    If U = (X; Y) solves U' = J B(x) U, then (X(-t); -Y(-t)) solves it with
+    Q(-t) in place of Q(t): U_+'s stable frame (v; -mu_+ v) at +L becomes
+    (v; +mu_+ v) at t = -L, so U_- and the reflected U_+ ride in one
+    ``propagate`` of 2K frames over xs, and negating Y at t = 0 gives
+    U_+(0) back.  Both come out orthonormalized, which rescales the
+    determinant by a positive factor only.  Starting from (v; +-mu v) at
+    -+L instead of from the solutions normalized at infinity multiplies the
+    determinant by e^{(sum mu_- + sum mu_+) L}; the unit-modulus factor
     e^{-iL Im(sum mu_- + sum mu_+)} takes its phase out again, so the
     value is analytic in lambda up to a positive factor and its phase does
     not swing along a contour.  For real lams that factor is 1.
     """
     L = opts.truncation
+    k, n = len(lams), model.n
     unstable, _, mu_minus = _asymptotic_frames(model, lams, "minus")
-    _, stable, mu_plus = _asymptotic_frames(model, lams, "plus")
-    u_minus = propagate(model, lams, unstable, _unit_grid(-L, x_match), opts)
-    s_plus = propagate(model, lams, stable, [L, x_match], opts)[-1]
-    values = np.linalg.det(np.concatenate([u_minus[-1], s_plus], axis=2))
+    reflected, _, mu_plus = _asymptotic_frames(model, lams, "plus")
+    frames = propagate(model, np.concatenate([lams, lams]),
+                       np.concatenate([unstable, reflected]), xs, opts, mirrored=k)
+    u_plus = frames[-1, k:] * np.repeat([1.0, -1.0], n)[:, None]
+    values = np.linalg.det(np.concatenate([frames[-1, :k], u_plus], axis=2))
     if np.iscomplexobj(values):
         swing = L * (mu_minus.sum(axis=1) + mu_plus.sum(axis=1)).imag
         values = values * np.exp(-1j * swing)
-    return values, u_minus
+    return values, frames[:, :k]
 
 
 ZERO_MARGIN = 1e-10
@@ -549,8 +570,10 @@ def _refined_contour_values(model, contour, opts, integrated=None):
     contour passing within the zero margin of an Evans zero.
     """
     validate_contour(model, contour)
+    # the winding reads E only: no frame inside [-L, 0]
+    sweep = (-opts.truncation, 0.0)
     if integrated is None:
-        integrated = evans_determinant(model, _integrated_points(contour), opts, 0.0)[0]
+        integrated = evans_determinant(model, _integrated_points(contour), opts, sweep)[0]
     ts, values, base = _closed_loop(contour, integrated)
     rounds = 0
     while True:
@@ -570,7 +593,7 @@ def _refined_contour_values(model, contour, opts, integrated=None):
                 "refinement rounds"
             )
         mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        mid_vals = evans_determinant(model, contour.point(mid_ts % 1.0), opts, 0.0)[0]
+        mid_vals = evans_determinant(model, contour.point(mid_ts % 1.0), opts, sweep)[0]
         ts = np.insert(ts, bad + 1, mid_ts)
         values = np.insert(values, bad + 1, mid_vals)
         base = np.insert(base, bad + 1, False)
@@ -616,8 +639,10 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     (eigenvalue crossings come out -1, opposite to conjugate points).
     lambda_inf's column rides along from -L to +L for ``_right_edge_empty``.
     """
+    L = opts.truncation
     lams = np.linspace(lambda_star, lambda_inf, 129)
-    evans, left = evans_determinant(model, lams, opts, 0.0)
+    grid = _unit_grid(-L, 0.0)
+    evans, left = evans_determinant(model, lams, opts, grid)
     size = np.abs(evans)
     flagged = np.sign(evans[:-1]) * np.sign(evans[1:]) < 0
     dips = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
@@ -626,10 +651,9 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     steps = np.diff(np.concatenate([[0], flagged.astype(int), [0]]))
     # (first, last) grid points of each run of flagged cells
     spans = np.stack([np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)], axis=1)
-    L = opts.truncation
     cols = np.append(spans.ravel(), len(lams) - 1)
     right = propagate(model, lams[cols], left[-1, cols], _unit_grid(0.0, L), opts)
-    xs = np.concatenate([_unit_grid(-L, 0.0), _unit_grid(0.0, L)[1:]])
+    xs = np.concatenate([grid, _unit_grid(0.0, L)[1:]])
     _right_edge_empty(xs, np.concatenate([left[:, -1], right[1:, -1]]), lambda_inf)
     if len(spans) == 0:
         return ()
@@ -639,7 +663,7 @@ def _top_edge(model, lambda_star, lambda_inf, opts):
     contours = [Contour.enclosing(a, b, samples=32) for a, b in ends]
     subs = [np.linspace(a, b, 33) for a, b in ends]
     circles = [_integrated_points(c) for c in contours]
-    values = evans_determinant(model, np.concatenate(circles + subs), opts, 0.0)[0]
+    values = evans_determinant(model, np.concatenate(circles + subs), opts, (-L, 0.0))[0]
     on_circle = np.split(values[: sum(map(len, circles))], len(spans))
     on_axis = np.split(values[sum(map(len, circles)):].real, len(spans))
     phases = _crossing_phases(right[-1, :-1])

@@ -77,18 +77,22 @@ def check_essential_stability(model):
 
 
 def check_decay(model):
-    """Verify Q approaches its limits at the declared exponential rate."""
+    """Verify Q approaches its limits at the declared exponential rate.
+
+    The four tail samples go through ``potential_samples`` flattened, so it
+    checks them for finiteness only: |x| = x_max may lie past [-L, L], and
+    an asymmetric Q is refused where a command samples it.
+    """
     rate = model.decay_rate
     x_max = max(23.0 / rate, 10.0)
     x_mid = 0.4 * x_max
-
-    def residual(x):
-        return max(
-            np.linalg.norm(model.q(x) - model.q_plus),
-            np.linalg.norm(model.q(-x) - model.q_minus),
-        )
-
-    r_mid, r_far = residual(x_mid), residual(x_max)
+    q_mid, q_mid_minus, q_far, q_far_minus = potential_samples(
+        lambda x: model.q(x).ravel(), [x_mid, -x_mid, x_max, -x_max]
+    ).reshape(4, model.n, model.n)
+    r_mid = max(np.linalg.norm(q_mid - model.q_plus),
+                np.linalg.norm(q_mid_minus - model.q_minus))
+    r_far = max(np.linalg.norm(q_far - model.q_plus),
+                np.linalg.norm(q_far_minus - model.q_minus))
     bound = 10.0 * r_mid * np.exp(-rate * (x_max - x_mid)) + 1e-12
     if not r_far <= bound:
         raise ModelValidationError(

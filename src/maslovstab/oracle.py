@@ -14,6 +14,7 @@ independently written Householder + Sturm-bisection solver
 (``tests/reference.py``).
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,10 @@ def _build_band(q_at, xs, h, n):
 def discretize_interval(q, a, b, h, n=1):
     """FD discretization of d^2/dx^2 + q(x) on (a, b), Dirichlet ends.
 
-    MAX_UNKNOWNS bounds the eigensolve of ``eigenvalues``, not the inertia
-    count: for n = 2 at 27,506 unknowns they took 3 s and 0.04 s on a
-    shared 2-core host.
+    The snapped step h must leave 1/h^2 a finite float, else
+    DiscretizationError.  MAX_UNKNOWNS bounds the eigensolve of
+    ``eigenvalues``, not the inertia count: for n = 2 at 27,506 unknowns
+    they took 3 s and 0.04 s on a shared 2-core host.
     """
     if h > MAX_STEP:
         raise DiscretizationError(f"step {h} exceeds the bound {MAX_STEP}")
@@ -85,6 +87,10 @@ def discretize_interval(q, a, b, h, n=1):
         )
     npt = int(npt)
     h_eff = (b - a) / (npt + 1)
+    # the stencil's 1/h^2: h^2 may underflow to 0, or its inverse overflow
+    if not h_eff * h_eff > 1.0 / sys.float_info.max:
+        raise DiscretizationError(
+            f"step {h_eff!r} leaves 1/h^2 outside the finite floats")
     xs = a + h_eff * np.arange(1, npt + 1)
     return Discretization(grid=xs, h=h_eff, n=n, band=_build_band(q, xs, h_eff, n))
 

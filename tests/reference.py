@@ -8,16 +8,17 @@ Test oracles that no code in the package calls live here too:
 ``check_lagrangian`` (with ``LagrangianCheck``, ``RANK_TOL`` and
 ``LAGR_TOL``) reports rank defect and symplectic asymmetry of frames;
 ``constant_model`` is the no-wave baseline model;
-``translation_mode_residual`` checks a profile against its potential; and
+``translation_mode_residual`` checks a profile against its potential;
 ``eigenfunction_zero_count`` (raising ``NotAnEigenvalueError``) reads the
-Sturm zero count off the Prufer angle.
+Sturm zero count off the Prufer angle; and ``evans_matched_at`` is the
+Evans value matched at any x from two plain propagation legs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from maslovstab import oracle, prufer
+from maslovstab import flow, oracle, prufer
 from maslovstab.errors import MaslovStabError, ModelValidationError
 from maslovstab.models import WaveModel
 from maslovstab.symplectic import _as_stack, qr_positive
@@ -231,3 +232,18 @@ def eigenfunction_zero_count(prob, lambda_k, residual_tol=1e-6, rtol=1e-10):
         f"multiple of pi within {residual_tol:.1e} and no eigenvalue jump "
         "was found nearby"
     )
+
+
+def evans_matched_at(model, lams, opts, x_m):
+    """det[U_-(x_m) | U_+(x_m)] at real lams, from two ``flow.propagate``
+    legs: U_- forward from -L and U_+ backward from +L (``opts`` resolved).
+
+    The matching point moves the value by a positive factor only, never a
+    zero."""
+    L = opts.truncation
+    lams = np.asarray(lams, dtype=float)
+    unstable, _, _ = flow._asymptotic_frames(model, lams, "minus")
+    _, stable, _ = flow._asymptotic_frames(model, lams, "plus")
+    u_minus = flow.propagate(model, lams, unstable, [-L, x_m], opts)[-1]
+    u_plus = flow.propagate(model, lams, stable, [L, x_m], opts)[-1]
+    return np.linalg.det(np.concatenate([u_minus, u_plus], axis=2))

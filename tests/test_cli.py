@@ -187,7 +187,7 @@ class TestBasics:
         from maslovstab import flow
 
         monkeypatch.setattr(flow, "evans_determinant",
-                            lambda model, lams, opts, x_match: (1.0 / (lams - 1.25), None))
+                            lambda model, lams, opts, xs: (1.0 / (lams - 1.25), None))
         model, *rest = argv
         code, out, err = run(capsys, "--json-errors", "evans", "--model", model, *rest)
         assert code == 1 and out == ""
@@ -313,15 +313,39 @@ class TestBasics:
         assert payload["error"] == "ModelValidationError"
         assert "potential is not finite at x = " in payload["message"]
 
+    @pytest.mark.parametrize("truncation, step", [
+        ("1e-300", "1e-302"), ("1e-158", "1e-160"),
+    ], ids=["h2-underflows", "inverse-overflows"])
+    def test_step_whose_inverse_square_is_not_finite_exit_one(self, capsys, tmp_path,
+                                                              truncation, step):
+        # h^2 = 0 ended in a ZeroDivisionError traceback, 1/h^2 = inf in a
+        # SeparationError; the step itself is refused
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({
+            "n": 1, "kind": "custom", "decay_rate": 1e308,
+            "potential": {"kind": "expression", "entries": [["-1"]]},
+            "q_minus": [[-1.0]], "q_plus": [[-1.0]]}))
+        code, out, err = run(capsys, "--json-errors", "oracle", "--config", str(cfg),
+                             "--truncation", truncation, "--grid-step", step,
+                             "--lambda-star", "0.5")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "DiscretizationError",
+            "message": f"step {float(step)!r} leaves 1/h^2 outside the finite floats"}
+
     @pytest.mark.parametrize("shift", ["+ 25", "- 25"])
     @pytest.mark.parametrize("command", [
         ["conjugate", "--lambda-star", "1e-3"], ["evans"], ["compare"],
         ["square", "--lambda-star", "1e-3"],
-    ], ids=["conjugate", "evans", "compare", "square"])
+        ["evans", "--contour-center", "1.25", "0", "--contour-radius", "0.5"],
+    ], ids=["conjugate", "evans", "compare", "square", "evans-contour"])
     def test_potential_not_finite_where_a_path_starts_exit_one(self, tmp_path, shift,
                                                                command):
         # NaN at x = -L or x = +L, finite at every validation sample; the
-        # error names that x whether a path starts or ends there
+        # error names that x whether a path starts or ends there.  An
+        # explicit contour samples no grid: only the Evans run reads Q at
+        # +L, where U_+ starts, reflected to t = -L
         error = _nan_potential_error(tmp_path, f"0*log(abs(x {shift}))", "pulse",
                                      command)
         assert error["error"] == "ModelValidationError"
@@ -614,9 +638,9 @@ class TestWorkBudget:
         sizes = []
         determinant = flow.evans_determinant
 
-        def counting(model, lams, opts, x_match):
+        def counting(model, lams, opts, xs):
             sizes.append(len(lams))
-            return determinant(model, lams, opts, x_match)
+            return determinant(model, lams, opts, xs)
 
         monkeypatch.setattr(flow, "evans_determinant", counting)
         code, out, _ = run(capsys, "evans", "--model", "scalar_sech_pulse",
@@ -632,9 +656,9 @@ class TestWorkBudget:
         sizes = []
         determinant = flow.evans_determinant
 
-        def counting(model, lams, opts, x_match):
+        def counting(model, lams, opts, xs):
             sizes.append(len(lams))
-            return determinant(model, lams, opts, x_match)
+            return determinant(model, lams, opts, xs)
 
         monkeypatch.setattr(flow, "evans_determinant", counting)
         code, out, _ = run(capsys, "square", "--model", "scalar_sech_pulse",
@@ -673,9 +697,9 @@ class TestWorkBudget:
         sizes = []
         determinant = flow.evans_determinant
 
-        def counting(model, lams, opts, x_match):
+        def counting(model, lams, opts, xs):
             sizes.append(len(lams))
-            return determinant(model, lams, opts, x_match)
+            return determinant(model, lams, opts, xs)
 
         monkeypatch.setattr(flow, "evans_determinant", counting)
         out_file = tmp_path / "evans.csv"

@@ -5,7 +5,7 @@ from maslovstab import flow
 from maslovstab.errors import ContourError, NonHyperbolicError, SeparationError
 from maslovstab.evans import Contour, compare_counts, winding_number
 from maslovstab.models import builtin
-from reference import constant_model
+from reference import constant_model, evans_matched_at, plane_distance
 from zoo import random_bump_model, random_pulse_model
 
 SECH = builtin("scalar_sech_pulse")
@@ -13,11 +13,11 @@ FRONT = builtin("allen_cahn_front")
 DEMO = builtin("coupled_gradient_demo")
 
 
-def evans_values(model, lams, opts=None, x_match=0.0):
+def evans_values(model, lams, opts=None):
     """Evans values at complex spectral points, from the batched determinant."""
     opts = (opts or flow.FlowOptions()).resolve(model)
     lams = np.asarray(lams, dtype=complex)
-    return flow.evans_determinant(model, lams, opts, x_match)[0]
+    return flow.evans_determinant(model, lams, opts, (-opts.truncation, 0.0))[0]
 
 
 class TestEvansAt:
@@ -41,21 +41,43 @@ class TestEvansAt:
         assert np.all(abs(v2 - np.conj(v1)) < 1e-7 * np.maximum(1.0, abs(v1)))
 
     def test_matching_point_freedom(self):
-        # zeros do not move with the matching point
-        for x0 in (-1.0, 0.0, 2.0):
-            scale, at_eig = abs(evans_values(SECH, [3.0, 1.25], x_match=x0))
+        # the zero at 1.25, matched at 0 in one run, is a zero of the two-leg
+        # value matched anywhere: zeros do not move with the matching point
+        scale, at_eig = abs(evans_values(SECH, [3.0, 1.25]))
+        assert at_eig < 1e-5 * scale
+        opts = flow.FlowOptions().resolve(SECH)
+        for x_m in (-1.0, 0.0, 2.0):
+            scale, at_eig = abs(evans_matched_at(SECH, [3.0, 1.25], opts, x_m))
             assert at_eig < 1e-5 * scale
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5 + 0.8j])
+    def test_reflected_half_is_the_backward_sweep_from_plus_l(self, lam):
+        opts = flow.FlowOptions().resolve(DEMO)
+        L = opts.truncation
+        lams = np.array([lam])
+        unstable, _, _ = flow._asymptotic_frames(DEMO, lams, "minus")
+        reflected, stable, _ = flow._asymptotic_frames(DEMO, lams, "plus")
+        both = flow.propagate(DEMO, np.concatenate([lams, lams]),
+                              np.concatenate([unstable, reflected]), [-L, 0.0], opts,
+                              mirrored=1)[-1]
+        forward = flow.propagate(DEMO, lams, unstable, [-L, 0.0], opts)[-1, 0]
+        backward = flow.propagate(DEMO, lams, stable, [L, 0.0], opts)[-1, 0]
+        # (X(-t); -Y(-t)) solves the system with Q(-t): negate Y at t = 0
+        assert plane_distance(both[1] * np.array([[1.0], [1.0], [-1.0], [-1.0]]),
+                              backward) <= 1e-8
+        assert plane_distance(both[0], forward) <= 1e-8
 
     def test_forward_frames_at_the_renormalization_points(self):
         opts = flow.FlowOptions().resolve(DEMO)
         L = opts.truncation
         lams = np.array([0.5, 3.0])
-        _, frames = flow.evans_determinant(DEMO, lams, opts, 0.0)
+        grid = flow._unit_grid(-L, 0.0)
+        values, frames = flow.evans_determinant(DEMO, lams, opts, grid)
         assert frames.shape == (int(np.ceil(L)) + 1, 2, 4, 2)
-        unstable = flow._asymptotic_frames(DEMO, lams, "minus")[0]
         # the same segments as an endpoint-only sweep, bit for bit
-        assert np.array_equal(frames[-1],
-                              flow.propagate(DEMO, lams, unstable, [-L, 0.0], opts)[-1])
+        ends, last = flow.evans_determinant(DEMO, lams, opts, (-L, 0.0))
+        assert last.shape == (2, 2, 4, 2)
+        assert np.array_equal(frames[-1], last[-1]) and np.array_equal(values, ends)
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
@@ -143,7 +165,7 @@ class TestSymmetricContour:
         top = flow.lambda_ceiling(model, 1e-3, opts.truncation)
         contour = Contour.enclosing(1e-3, top, samples=samples)
         integrated = flow.evans_determinant(model, flow._integrated_points(contour),
-                                            opts, 0.0)[0]
+                                            opts, (-opts.truncation, 0.0))[0]
         ts, values, base = flow._closed_loop(contour, integrated)
         assert np.count_nonzero(base) == samples
         assert np.array_equal(ts[base], flow._contour_params(samples)[:-1])
@@ -154,7 +176,7 @@ class TestSymmetricContour:
         lower = np.arange(samples // 2 + 1, samples)
         pts = contour.point(flow._contour_params(samples)[lower])
         assert np.all(pts.imag < 0)
-        direct = flow.evans_determinant(model, pts, opts, 0.0)[0]
+        direct = flow.evans_determinant(model, pts, opts, (-opts.truncation, 0.0))[0]
         scale = np.max(np.abs(values))
         assert np.max(np.abs(values[lower] - direct)) <= 1e-8 * scale
 
@@ -162,9 +184,9 @@ class TestSymmetricContour:
         sizes = []
         determinant = flow.evans_determinant
 
-        def counting(model, lams, opts, x_match):
+        def counting(model, lams, opts, xs):
             sizes.append(len(lams))
-            return determinant(model, lams, opts, x_match)
+            return determinant(model, lams, opts, xs)
 
         monkeypatch.setattr(flow, "evans_determinant", counting)
         contour = Contour(center=1.25 + 0.1j, radius=0.5)

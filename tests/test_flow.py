@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import reference
 import zoo
 from reference import constant_model
-from maslovstab import flow, oracle, prufer, symplectic
+from maslovstab import evans, flow, oracle, prufer, symplectic
 from maslovstab.cli import main
 from maslovstab.errors import (
     ContourError,
@@ -198,8 +198,9 @@ class TestAccuracy:
         lambda_inf = flow.lambda_ceiling(model, 1e-3, opts.truncation)
         points = flow._integrated_points(
             flow.Contour.enclosing(1e-3, lambda_inf, samples=64))
-        got = flow.evans_determinant(model, points, opts, 0.0)[0]
-        ref = flow.evans_determinant(model, points, self.TIGHT.resolve(model), 0.0)[0]
+        sweep = (-opts.truncation, 0.0)
+        got = flow.evans_determinant(model, points, opts, sweep)[0]
+        ref = flow.evans_determinant(model, points, self.TIGHT.resolve(model), sweep)[0]
         # orthonormal frames rescale E by a positive factor: compare phases
         assert np.max(np.abs(np.angle(got / ref))) <= 1e-6
 
@@ -248,7 +249,8 @@ class TestStrongTails:
         opts = FlowOptions().resolve(model)
         _, frames = flow._unstable_path(model, 1e-3, opts)
         lams = np.array([1e-3, 2.0 + 1.0j])
-        values, u_minus = flow.evans_determinant(model, lams, opts, 0.0)
+        values, u_minus = flow.evans_determinant(model, lams, opts,
+                                                 flow._unit_grid(-opts.truncation, 0.0))
         for stack in (frames, u_minus, values):
             assert np.all(np.isfinite(stack))
 
@@ -482,20 +484,41 @@ class TestWorkBudget:
         monkeypatch.setattr(flow, "solve_ivp", recording)
         opts = FlowOptions().resolve(SECH)
         lams = np.linspace(1e-3, flow.lambda_ceiling(SECH, 1e-3, opts.truncation), 129)
-        flow.evans_determinant(SECH, lams, opts, 0.0)
-        # one call per renormalization segment: one grid cell, then four at a
-        # time, 6 from -L to 0 and 6 from +L, where one per cell made 21 + 21
-        assert len(calls) == 12
-        # 42 segments of at most 42 RHS evaluations each bound the work
-        assert sum(nfev for _, _, nfev in calls) <= 42 * 42
-        # every end state is the solver's; the interpolant is built only for
-        # the frames of [-L, 0]'s unit grid strictly inside a segment, never
-        # on the endpoint-only sweep from +L
         grid = flow._unit_grid(-opts.truncation, 0.0)
+        flow.evans_determinant(SECH, lams, opts, grid)
+        # one call per renormalization segment: one grid cell, then four at a
+        # time, 6 from -L to 0 carrying U_- and the reflected U_+ together,
+        # where two legs made 6 + 6 and one call per cell 21 + 21
+        assert len(calls) == 6
+        # the two legs took 1,643 RHS evaluations; one run takes 904
+        assert sum(nfev for _, _, nfev in calls) <= 904
+        # every end state is the solver's; the interpolant is built only for
+        # the frames of [-L, 0]'s unit grid strictly inside a segment
         for (a, b), kw, _ in calls:
-            assert kw.get("t_eval") is None
-            inside = np.any((grid > min(a, b)) & (grid < max(a, b)))
-            assert bool(kw.get("dense_output")) == bool(a < 0 and inside)
+            assert kw.get("t_eval") is None and -opts.truncation <= a < b <= 0.0
+            inside = np.any((grid > a) & (grid < b))
+            assert bool(kw.get("dense_output")) == bool(inside)
+
+    def test_contour_winding_builds_no_interpolant(self, monkeypatch):
+        calls = []
+        solve = flow.solve_ivp
+
+        def recording(fun, t_span, *args, **kwargs):
+            sol = solve(fun, t_span, *args, **kwargs)
+            calls.append((bool(kwargs.get("dense_output")), sol.nfev))
+            return sol
+
+        monkeypatch.setattr(flow, "solve_ivp", recording)
+        opts = FlowOptions().resolve(SECH)
+        contour = flow.Contour.enclosing(1e-3, flow.lambda_ceiling(SECH, 1e-3,
+                                                                   opts.truncation))
+        assert contour.samples == 256 and contour.center.imag == 0
+        assert evans.winding_number(SECH, contour, opts) == 1
+        # the winding reads E at x = 0 only: one run of 6 segments, and no
+        # segment builds the interpolant (two legs with frames on the unit
+        # grid took 12 calls and 1,727 RHS evaluations)
+        assert [dense for dense, _ in calls] == [False] * 6
+        assert sum(nfev for _, nfev in calls) <= 775
 
     @pytest.mark.parametrize("model, lam, opts", [
         (FRONT, 0.02, None),
@@ -585,8 +608,8 @@ class TestMaslovSquare:
         frames that give directions still come from the real determinant."""
         determinant = flow.evans_determinant
 
-        def faked(model, lams, opts, x_match):
-            return fake(lams), determinant(model, lams, opts, x_match)[1]
+        def faked(model, lams, opts, xs):
+            return fake(lams), determinant(model, lams, opts, xs)[1]
 
         monkeypatch.setattr(flow, "evans_determinant", faked)
         return flow._top_edge(SECH, 1e-3, 3.0, FlowOptions().resolve(SECH))

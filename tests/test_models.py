@@ -19,6 +19,7 @@ from maslovstab.models import (
     model_from_functions,
     validate_model,
 )
+import zoo
 from reference import constant_model, translation_mode_residual
 
 SECH_CONFIG = {
@@ -186,6 +187,22 @@ class TestDecayCheck:
         )
         with pytest.raises(ModelValidationError):
             check_decay(slow)
+
+    def test_non_finite_tail_sample_is_the_sampler_error(self):
+        # 0 * exp(x^2 / 0.74) overflows to 0 * inf = nan only near |x| = 23,
+        # where the check reads the far tail; no validation sample sees it
+        entry = "-1 + 3/cosh(x/2)**2 + 0*exp(x**2/0.74)"
+        cfg = dict(SECH_CONFIG, potential={"kind": "expression", "entries": [[entry]]})
+        with pytest.raises(ConfigError) as info:
+            from_config(cfg)
+        assert str(info.value) == "model: potential is not finite at x = 23.0"
+
+    def test_zoo_models_validate(self):
+        # their tail samples are finite; only those go through the sampler
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            validate_model(zoo.random_bump_model(rng))
+            validate_model(zoo.random_pulse_model(rng)[0])
 
 
 class TestFromConfig:
