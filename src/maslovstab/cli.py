@@ -272,9 +272,16 @@ def _cmd_square(args):
 
 
 def _cmd_evans(args):
+    if (args.contour_center is None) != (args.contour_radius is None):
+        given, missing = "--contour-center", "--contour-radius"
+        if args.contour_center is None:
+            given, missing = missing, given
+        raise CliUsageError(
+            f"{given} needs {missing}: give both, or neither for the default contour"
+        )
     model = _resolve_model(args)
     opts = _flow_options(args).resolve(model)
-    if args.contour_center is None or args.contour_radius is None:
+    if args.contour_center is None:
         lam_inf = flow.lambda_ceiling(model, args.epsilon_shift, opts.truncation)
         contour = evans_mod.Contour.enclosing(args.epsilon_shift, lam_inf,
                                               samples=args.contour_samples)
@@ -360,7 +367,10 @@ def _cmd_oracle(args):
     disc = oracle.discretize(model, opts.truncation, args.grid_step)
     count = oracle._count_above(model, disc, args.lambda_star)
     if args.output:
+        # as in spectrum: box modes inside the essential spectrum are no
+        # eigenvalues of the operator on the line
         top = oracle.eigenvalues(disc, k=args.count)
+        top = top[top > check_essential_stability(model).max_eig_qinf]
         if args.format == "json":
             _write_json(args.output, {
                 "count_above": count,

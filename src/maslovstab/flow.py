@@ -166,11 +166,17 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
     ``frames`` is the (K, 2n, n) stack at xs[0]; xs runs monotonically in
     either direction (``[x0, x1]`` for an endpoint-only sweep).  The last
     ``mirrored`` frames of the stack see Q(-x) in place of Q(x).  One DOP853
-    run per segment carries the whole stack, real or complex, and the frames
-    are re-orthonormalized by positive-diagonal QR at its end.  The first
-    segment may reach 1 unit of x; after that, the largest |log r_ii| of R's
-    diagonal over the stack, against the budget ln(1/rtol) / 2, sets the
-    next reach, at most four times the last segment's length.  A segment
+    run per segment carries the whole stack, real or complex, as one
+    (2n, K n) matrix in row-major order: X_1 .. X_K side by side on top,
+    Y_1 .. Y_K below, frame k in column block k, so that one frame keeps
+    its own order.  Its right-hand side is Y on top and lambda X - Q X
+    below, with one (n, n) @ (n, columns) product for Q(x) on the plain
+    columns and one for Q(-x) on the mirrored ones; the stack goes into and
+    out of that layout once per segment, never per call.  The frames are
+    re-orthonormalized by positive-diagonal QR at the segment's end.  The
+    first segment may reach 1 unit of x; after that, the largest |log r_ii|
+    of R's diagonal over the stack, against the budget ln(1/rtol) / 2, sets
+    the next reach, at most four times the last segment's length.  A segment
     ends on the farthest x of xs within reach; if none is, on the farthest
     point of ``_unit_grid(xs[0], xs[-1])`` within reach, and at least on the
     next one.  It starts with the previous one's last unclipped step and
@@ -184,26 +190,28 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
     n = model.n
     shape = frames.shape
     k = shape[0]
-    lam_col = np.asarray(lams)[:, None, None]
+    flat = (2 * n, k * n)
+    lam_row = np.repeat(np.asarray(lams), n)
     q = model.q
     last_x = None
-    # rows [a, b) of the stack, and whether they read Q at -x
-    split = k - mirrored
-    parts = [(0, split, False), (split, k, True)] if mirrored else [(0, k, False)]
+    # columns [0, split) read Q at x, columns [split, K n) at -x
+    split = (k - mirrored) * n
 
     def rhs(x, y):
         nonlocal last_x
         last_x = x
-        u = y.reshape(shape)
+        u = y.reshape(flat)
         out = np.empty_like(u)
-        out[:, :n] = u[:, n:]
-        for a, b, flip in parts:
-            top = u[a:b, :n]
-            # one (n, n) @ (n, K n) product: a stacked matmul makes one BLAS
-            # call per lambda, with the same sums
-            q_top = (q(-x if flip else x) @ top.transpose(1, 0, 2).reshape(n, (b - a) * n)
-                     ).reshape(n, b - a, n)
-            out[a:b, n:] = lam_col[a:b] * top - q_top.transpose(1, 0, 2)
+        out[:n] = u[n:]
+        top, bottom = u[:n], out[n:]
+        np.multiply(lam_row, top, out=bottom)
+        # one (n, n) @ (n, columns) product per Q: a stacked matmul over the
+        # (K, 2n, n) frames would make one BLAS call per lambda
+        if mirrored:
+            bottom[:, :split] -= q(x) @ top[:, :split]
+            bottom[:, split:] -= q(-x) @ top[:, split:]
+        else:
+            bottom -= q(x) @ top
         return out.ravel()
 
     def check(*points):
@@ -242,7 +250,8 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
         # Q and lambda do not change at s0: the last step the previous
         # segment chose freely holds its error control here as well
         sol = solve_ivp(
-            rhs, (s0, s1), u.ravel(), method="DOP853", dense_output=len(inner) > 0,
+            rhs, (s0, s1), u.transpose(1, 0, 2).ravel(), method="DOP853",
+            dense_output=len(inner) > 0,
             first_step=None if step is None else min(step, abs(s1 - s0)),
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
@@ -261,11 +270,13 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
         ys = sol.y[:, -1:]
         if len(inner):
             ys = np.concatenate([sol.sol(inner), ys], axis=1)
-        stack = symplectic.qr_positive(ys.T.reshape((-1,) + shape))
+        # the states in the columns of ys as (m, K, 2n, n) frames
+        ys = ys.T.reshape(-1, 2 * n, k, n).swapaxes(1, 2)
+        stack = symplectic.qr_positive(ys)
         out[i:j] = stack[: j - i]
         u = stack[-1]
         # |r_ii| = |q_i^H y_i|: column i's growth over the segment
-        r = np.abs(np.einsum("kji,kji->ki", u.conj(), sol.y[:, -1].reshape(shape)))
+        r = np.abs(np.einsum("kji,kji->ki", u.conj(), ys[-1]))
         growth = float(np.max(np.abs(np.log(r))))
         reach = abs(s1 - s0) * budget / max(growth, 0.25 * budget)
         s0 = s1

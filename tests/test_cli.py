@@ -547,6 +547,36 @@ class TestBasics:
         assert payload["error"] == "ContourError"
         assert "(-inf, -1]" in payload["message"]
 
+    # either half alone wound the default contour and printed winding=1
+    @pytest.mark.parametrize("half, missing", [
+        (("--contour-center", "1.25", "0"), "--contour-radius"),
+        (("--contour-radius", "0.5"), "--contour-center"),
+    ], ids=["center", "radius"])
+    def test_half_given_contour_exit_one(self, capsys, half, missing):
+        code, out, err = run(capsys, "--json-errors", "evans", "--model",
+                             "scalar_sech_pulse", *half)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "CliUsageError"
+        assert f"needs {missing}" in payload["message"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_oracle_output_omits_essential_spectrum(self, capsys, tmp_path, fmt):
+        # the sech box modes -1.0085 and -1.0339 lie below the edge -1; they
+        # were written as eigenvalues, while the count was already right
+        out_file = tmp_path / f"oracle.{fmt}"
+        code, out, _ = run(capsys, "oracle", "--model", "scalar_sech_pulse",
+                           "--lambda-star", "1e-3", "--format", fmt,
+                           "--output", str(out_file))
+        assert (code, out) == (0, "count=1")
+        if fmt == "json":
+            vals = json.loads(out_file.read_text())["top_eigenvalues"]
+        else:
+            with open(out_file) as fh:
+                vals = [float(r[1]) for r in list(csv.reader(fh))[1:]]
+        assert len(vals) == 3 and min(vals) > -1.0
+
 
 class TestArtifacts:
     def test_csv_round_trips_17_digits(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -143,26 +144,38 @@ class TestAsymptoticSplitting:
         assert np.all(lows > 0.0)
 
 
+REAL_LAMS = np.linspace(0.2, 2.8, 7)
+CIRCLE_LAMS = 1.25 + 0.8 * np.exp(2j * np.pi * (np.arange(7) + 0.25) / 7)
+# every entry of Q coupled, and off-centre so that Q(-x) != Q(x): a frame
+# that reads the wrong columns, or Q at the wrong sign of x, cannot hide
+# there as it can at n = 1, at K = 1 or in an even potential
+BUMP3 = zoo.coupled_bump3(shift=1.5)
+
+
 class TestPropagate:
     @pytest.mark.parametrize("model, lams", [
-        (SECH, np.linspace(0.2, 2.8, 7)),
-        (SECH, 1.25 + 0.8 * np.exp(2j * np.pi * (np.arange(7) + 0.25) / 7)),
-        (DEMO, np.linspace(0.2, 2.8, 7)),
-        (DEMO, 1.25 + 0.8 * np.exp(2j * np.pi * (np.arange(7) + 0.25) / 7)),
+        (SECH, REAL_LAMS), (SECH, CIRCLE_LAMS), (DEMO, REAL_LAMS), (DEMO, CIRCLE_LAMS),
+        (BUMP3, REAL_LAMS), (BUMP3, CIRCLE_LAMS),
     ])
     def test_batch_matches_single_runs(self, model, lams):
         # solve_ivp's error norm is an RMS over the whole state, so a batch
-        # could hide one lambda's error; each member must match its own run
+        # could hide one lambda's error; each member must match its own run,
+        # and with the last three frames mirrored, those a run of the
+        # reflected model Q(-x)
         opts = FlowOptions().resolve(model)
         L = opts.truncation
         xs = [-L, 0.0, L]
         init, _, _ = flow._asymptotic_frames(model, lams, "minus")
-        batch = flow.propagate(model, lams, init, xs, opts)
-        assert batch.shape == (3,) + init.shape
-        for k in range(len(lams)):
-            single = flow.propagate(model, lams[k:k + 1], init[k:k + 1], xs, opts)
-            for i in (1, 2):
-                assert reference.plane_distance(batch[i, k], single[i, 0]) <= 1e-8
+        reflected = dataclasses.replace(model, potential=lambda x: model.potential(-x),
+                                        q_minus=model.q_plus, q_plus=model.q_minus)
+        for mirrored in (0, 3):
+            batch = flow.propagate(model, lams, init, xs, opts, mirrored=mirrored)
+            assert batch.shape == (3,) + init.shape
+            for k in range(len(lams)):
+                own = reflected if k >= len(lams) - mirrored else model
+                single = flow.propagate(own, lams[k:k + 1], init[k:k + 1], xs, opts)
+                for i in (1, 2):
+                    assert reference.plane_distance(batch[i, k], single[i, 0]) <= 1e-8
 
     def test_zero_length_span_returns_qr_of_input(self):
         rng = np.random.default_rng(5)

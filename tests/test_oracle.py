@@ -17,7 +17,7 @@ from maslovstab.errors import (
     SeparationError,
 )
 from maslovstab.flow import FlowOptions
-from maslovstab.models import WaveModel, builtin, check_essential_stability
+from maslovstab.models import builtin, check_essential_stability
 
 
 class TestDiscretize:
@@ -186,22 +186,13 @@ class TestEigensolveBudget:
             oracle._counts_above(disc, np.array([shift - 1.0, shift]))
 
 
-def _coupled_bump3():
-    """n = 3 bump on a negative-definite background, coupled in every entry."""
-    q_inf = -np.diag([0.8, 1.3, 2.1])
-    s = np.array([[1.5, 0.7, -0.4], [0.7, -0.5, 0.9], [-0.4, 0.9, 1.1]])
-    window = zoo.smooth_window(4.0)
-    return WaveModel(n=3, potential=lambda x: q_inf + s * window(x),
-                     q_minus=q_inf, q_plus=q_inf, decay_rate=2.0)
-
-
 def _agreement_models():
     rng = np.random.default_rng(3)
     pulses = [zoo.random_pulse_model(rng)[0] for _ in range(3)]
     bumps = [zoo.random_bump_model(rng) for _ in range(3)]
     return [builtin(name) for name in
             ("scalar_sech_pulse", "allen_cahn_front", "coupled_gradient_demo")
-            ] + pulses + bumps + [_coupled_bump3()]
+            ] + pulses + bumps + [zoo.coupled_bump3()]
 
 
 @pytest.mark.parametrize("case", range(10), ids=[

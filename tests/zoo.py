@@ -109,3 +109,13 @@ def random_bump_model(rng):
         kind="custom",
         name=f"random_bump_n{n}",
     )
+
+
+def coupled_bump3(shift=0.0):
+    """n = 3 bump on a negative-definite background, coupled in every entry,
+    centred at ``shift`` (off 0 it is not even in x)."""
+    q_inf = -np.diag([0.8, 1.3, 2.1])
+    s = np.array([[1.5, 0.7, -0.4], [0.7, -0.5, 0.9], [-0.4, 0.9, 1.1]])
+    window = smooth_window(4.0)
+    return WaveModel(n=3, potential=lambda x: q_inf + s * window(x - shift),
+                     q_minus=q_inf, q_plus=q_inf, decay_rate=2.0)
