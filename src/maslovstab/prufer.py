@@ -21,6 +21,11 @@ On a long interval theta(b; .) drops through each multiple of pi within a
 lambda window of width ~ e^{-2 mu (b-a)}; Delta, matched where q peaks, is
 smooth there, so a root search can use its slope.  The search starts from
 the Dirichlet comparison bound lambda_{N-1} >= inf q - (N pi / (b-a))^2.
+It runs in rounds of one two-leg integration each, whose cost hardly
+depends on how many lambdas it carries, so it spends points to save rounds:
+a single-well pulse takes three, the first bracket with a 63-point grid
+inside it, then two rounds clustered around an inverse-interpolation
+estimate of each root.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +45,10 @@ ANGLE_TOL = 1e-10
 RESONANCE_TOL = 1e-7
 # interior points per open bracket in each round of find_eigenvalues
 MULTISECTION_POINTS = 15
+# largest rise of the angle mismatch between sorted shots of one search that
+# is read as integration error: staircases rise by ~1e-3 rad at most, shots
+# that disagree on a narrow dip by half a radian or more
+MONOTONE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -197,6 +206,21 @@ def _q_peak(prob):
     return float(qs.max()), float(xs[1 + np.argmax(qs[1:-1])]), float(qs.min())
 
 
+def _inverse_interpolation(lams, deltas, targets, upper):
+    """lambda at Delta = target on the cubic lambda(Delta) through four
+    sorted pairs around each bracket (upper - 1, upper), two on each side
+    away from the ends of the list; NaN where two of those mismatches
+    coincide."""
+    window = np.clip(upper - 2, 0, len(lams) - 4)[:, None] + np.arange(4)
+    d, lam = deltas[window], lams[window]
+    gaps = d[:, :, None] - d[:, None, :]
+    own = np.eye(4, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = (targets[:, None, None] - d[:, None, :]) / np.where(own, 1.0, gaps)
+        weights = np.where(own, 1.0, factors).prod(axis=2)
+        return (weights * lam).sum(axis=1)
+
+
 def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     """The top eigenvalues lambda_0 > lambda_1 > ... by a lockstep root search.
 
@@ -204,20 +228,27 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     matched at x_m, the interior sample where q peaks.  Delta is strictly
     decreasing in lambda, so every evaluated (lambda, Delta) pair narrows the
     bracket of each target angle at once, and each round evaluates all its
-    new points in one two-leg integration.  The first bracket runs from
-    sup q + 1 down to the Dirichlet comparison bound
-    inf q - (N pi / (b - a))^2 - 1 on N = how_many, both read from 1001
-    samples of q by ``_q_peak``, which refuses a sample that is not finite;
-    it is doubled downwards while it fails to bracket.
+    new points in one two-leg integration, whose cost hardly depends on how
+    many points it carries.  The first bracket runs from sup q + 1 down to
+    the Dirichlet comparison bound inf q - (N pi / (b - a))^2 - 1 on
+    N = how_many, both read from 1001 samples of q by ``_q_peak``, which
+    refuses a sample that is not finite.  The first round evaluates both
+    ends and an even grid of 4 (MULTISECTION_POINTS + 1) - 1 points between
+    them; while the lower end fails to bracket, it is doubled downwards one
+    shot at a time.
 
-    Each round places MULTISECTION_POINTS points in every open bracket.  An
-    eigenfunction that lives near x_m makes Delta smooth in lambda, so the
-    points cluster around the regula falsi estimate of the root, at offsets
-    of 4^-1 down to 4^-7 bracket widths.  A bracket is split evenly instead,
-    as plain multisection would, when it holds several targets or when the
-    previous round's estimate for it came no closer to the root than an
-    even split would have.  A root is accepted at an evaluated lambda whose
-    mismatch is within angle_tol of its target.
+    Each later round places MULTISECTION_POINTS points in every open
+    bracket.  An eigenfunction that lives near x_m makes Delta smooth in
+    lambda, so the points cluster around an estimate of the root, at
+    offsets of 10^-1 down to 10^-7 bracket widths.  The estimate is the
+    cubic through four evaluated pairs around the bracket, lambda as a
+    function of Delta, taken at the target; where that lands outside
+    the bracket, the regula falsi estimate of the bracket stands in.  A
+    bracket is split evenly instead, as plain multisection would, when it
+    holds several targets or when the previous round's estimate for it came
+    no closer to the root than an even split would have.  A root is
+    accepted at an evaluated lambda whose mismatch is within angle_tol of
+    its target.
 
     An eigenfunction that lives far from x_m (in one well of several) makes
     Delta a staircase near its eigenvalue: it drops by pi over a lambda
@@ -225,6 +256,13 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     resolution.  The even splits then narrow the bracket until it is a few
     ulps wide and still straddles the target, and its midpoint is accepted
     as pinched.
+
+    After every round the sorted pairs must not rise by more than
+    MONOTONE_TOL; a rise means that shots of one search integrated
+    different problems (a potential feature narrower than the solver's
+    step, seen by some shots and stepped over by others) and raises
+    SolverError naming the pair.  A feature that every shot misses the
+    same way leaves Delta monotone and still goes unseen.
     """
     if how_many < 1:
         raise ValueError("how_many must be >= 1")
@@ -234,27 +272,38 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     # lambda_{N-1} >= inf q - (N pi / (b - a))^2; a sampled minimum can miss
     # a narrow dip, so the doubling loop below still checks the bracket
     lo = q_min - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
-    lams = np.array([hi, lo])
+    lams = np.linspace(hi, lo, 4 * (MULTISECTION_POINTS + 1) + 1)
     deltas = _mismatch(prob, lams, x_m, rtol)
     if deltas[0] >= targets[0]:
         raise BracketError("upper bracket does not undershoot the target angle")
+    expansions = 0
     while deltas[-1] <= targets[-1]:
-        if len(lams) > 60:
+        if expansions == 59:
             raise BracketError(
                 f"could not bracket eigenvalue {how_many - 1}: the angle mismatch "
                 f"never exceeds {targets[-1]:.6g} down to lambda = {lo:.6g}"
             )
+        expansions += 1
         lo = hi - 2.0 * (hi - lo)
         lams = np.append(lams, lo)
         deltas = np.append(deltas, _mismatch(prob, [lo], x_m, rtol))
     even = np.arange(1, MULTISECTION_POINTS + 1) / (MULTISECTION_POINTS + 1)
-    scales = 4.0 ** -np.arange(1, MULTISECTION_POINTS // 2 + 1)
+    scales = 10.0 ** -np.arange(1, MULTISECTION_POINTS // 2 + 1)
     cluster = np.concatenate([[0.0], -scales, scales])
     estimate = np.full(how_many, np.nan)
     previous = np.zeros(how_many)
     while True:
         order = np.argsort(lams)
         lams, deltas = lams[order], deltas[order]
+        rises = np.nonzero(np.diff(deltas) > MONOTONE_TOL)[0]
+        if len(rises):
+            i = rises[0]
+            raise SolverError(
+                f"angle mismatch rises from {deltas[i]:.12g} at lambda = {lams[i]:.12g} "
+                f"to {deltas[i + 1]:.12g} at lambda = {lams[i + 1]:.12g}; the shots "
+                "disagree, as where a potential feature is narrower than the "
+                "solver's step"
+            )
         misfit = abs(deltas[None, :] - targets[:, None])
         best = np.argmin(misfit, axis=1)
         residuals = misfit.min(axis=1)
@@ -265,13 +314,15 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
         width = upper_lam - lower_lam
         xtol = 1e-13 + 8.9e-16 * np.maximum(abs(lower_lam), abs(upper_lam))
         open_ = (residuals >= angle_tol) & (width > xtol)
-        # last round's estimate earns a secant round if it came as close to
-        # the root as an even split of its bracket would have
+        # last round's estimate earns a clustered round if it came as close
+        # to the root as an even split of its bracket would have
         miss = np.maximum(abs(estimate - lower_lam), abs(estimate - upper_lam))
         trusted = np.isnan(estimate) | (miss * (MULTISECTION_POINTS + 1) <= previous)
         shared = np.bincount(upper, minlength=len(lams))[upper] > 1
         lo_d, hi_d = deltas[upper - 1], deltas[upper]
-        estimate = lower_lam + (lo_d - targets) / (lo_d - hi_d) * width
+        falsi = lower_lam + (lo_d - targets) / (lo_d - hi_d) * width
+        estimate = _inverse_interpolation(lams, deltas, targets, upper)
+        estimate = np.where((estimate > lower_lam) & (estimate < upper_lam), estimate, falsi)
         estimate[shared] = np.nan
         previous = width
         secant = open_ & trusted & ~shared
