@@ -215,7 +215,7 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
         return out.ravel()
 
     def check(*points):
-        potential_samples(q, points + tuple(-p for p in points) if mirrored else points)
+        potential_samples(model, points + tuple(-p for p in points) if mirrored else points)
 
     xs = np.asarray(xs, dtype=float)
     check(xs[0])
@@ -291,7 +291,7 @@ def _sample_grid(model, lambda_, opts):
     # W-eigenvalue phases move at up to ~2 max(1, |Q - lambda|) per unit
     # x; keep sample steps under ~0.45 * pi/2 of that so crossings are
     # never skipped regardless of the potential's strength
-    qs = potential_samples(model.q, np.linspace(-L, L, 201))
+    qs = potential_samples(model, np.linspace(-L, L, 201))
     bound = max(1.0, float(np.max(np.sum(np.abs(qs), axis=2))) + abs(lambda_))
     step = min(SAMPLE_DX, 0.7 / (2.0 * bound))
     if 2.0 * L > MAX_PATH_SAMPLES * step:
@@ -354,7 +354,7 @@ def _angle_count(model, lambda_, xs, frames):
     """
     n = model.n
     x, y = frames[:, :n], frames[:, n:]
-    qs = potential_samples(model.q, xs)
+    qs = potential_samples(model, xs)
     shifted = lambda_ * np.eye(n) - qs
     rates = np.einsum("kji,kjl,kli->k", x, shifted, x) - np.sum(y * y, axis=(1, 2))
     turn = np.trapezoid(rates, xs)
@@ -403,8 +403,8 @@ def _conjugate_points_and_path(model, lambda_star, opts):
 
 def lambda_max_bound(model, truncation):
     """lambda_inf = 1 + sup_x max-eig Q(x) on [-L, L]: no spectrum above it."""
-    qs = potential_samples(model.q, np.linspace(-truncation, truncation,
-                                                LAMBDA_MAX_SAMPLES))
+    qs = potential_samples(model, np.linspace(-truncation, truncation,
+                                              LAMBDA_MAX_SAMPLES))
     tops = qs[:, 0, 0] if model.n == 1 else np.linalg.eigvalsh(qs)[:, -1]
     return 1.0 + float(np.max(tops))
 

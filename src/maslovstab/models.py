@@ -36,6 +36,16 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WaveModel:
+    """Potential Q of d^2/dx^2 + Q(x), its limits and decay rate.
+
+    ``potential`` maps one x to Q(x); the ODE right-hand sides read it
+    through ``q``.  The optional ``potential_grid`` maps an array xs of
+    shape (m,) to the (m, n, n) samples, and ``potential_samples`` reads a
+    grid of Q through it in one call: the built-ins and ``from_config``
+    models carry one.  A model without it is sampled point by point.  The
+    samples get the same check either way, with the same messages.
+    """
+
     n: int
     potential: callable           # x -> symmetric (n, n)
     q_minus: np.ndarray
@@ -45,6 +55,9 @@ class WaveModel:
     profile: callable = None            # x -> R^n
     profile_derivative: callable = None
     name: str = ""
+    # xs (m,) -> (m, n, n), equal to potential at each x; replacing
+    # potential alone keeps the old one
+    potential_grid: callable = None
 
     def __post_init__(self):
         for attr in ("q_minus", "q_plus"):
@@ -102,13 +115,22 @@ def check_decay(model):
 
 
 def potential_samples(q, xs):
-    """q at each x of xs, stacked on a leading axis.
+    """Samples of q at each x of xs, stacked on a leading axis.
 
-    The one check of a potential sample: ModelValidationError names the
-    first x whose sample is not finite or, for (n, n) samples, differs from
-    its transpose by more than SYMMETRY_TOL.
+    q is a WaveModel or a plain callable x -> sample.  A model with a
+    ``potential_grid`` (the built-ins and ``from_config`` models) is sampled
+    in one call on the array xs; any other model is read through
+    ``WaveModel.q``, and a plain callable is called, once per x.  Either
+    way the samples get the one check of a potential sample:
+    ModelValidationError names the first x whose sample is not finite or,
+    for (n, n) samples, differs from its transpose by more than
+    SYMMETRY_TOL.
     """
-    qs = np.array([q(x) for x in xs], dtype=float)
+    if isinstance(q, WaveModel) and q.potential_grid is not None:
+        qs = np.asarray(q.potential_grid(np.asarray(xs, dtype=float)), dtype=float)
+    else:
+        at = q.q if isinstance(q, WaveModel) else q
+        qs = np.array([at(x) for x in xs], dtype=float)
     finite = np.isfinite(qs.reshape(len(qs), -1)).all(axis=1)
     bad = ~finite
     if qs.ndim == 3 and qs.shape[1] == qs.shape[2]:
@@ -136,7 +158,7 @@ def validate_model(model):
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ModelValidationError(f"{attr} is not symmetric")
     xs = np.linspace(-20.0, 20.0, 201)
-    shape = potential_samples(model.q, xs).shape[1:]
+    shape = potential_samples(model, xs).shape[1:]
     if shape != (model.n, model.n):
         raise ModelValidationError(f"potential returns shape {shape}, not "
                                    f"({model.n}, {model.n})")
@@ -156,8 +178,10 @@ def validate_model(model):
 
 
 # ---------------------------------------------------------------------------
-# Built-in models.  Each carries the scalar energy G, gradient f = G' and
-# hessian f' so the gradient structure Q(x) = hessian(phi(x)) can be checked.
+# Built-in models.  Each scalar carries its energy G and hessian G'' so the
+# gradient structure Q(x) = hessian(phi(x)) can be checked.  Profiles,
+# hessians and the stack's potential map an array of x elementwise, with x
+# on the last axis.
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -168,37 +192,35 @@ def _sech(y):
 
 _SECH_PULSE = {
     "energy": lambda u: -0.5 * u[0] ** 2 + u[0] ** 3 / 3.0,
-    "gradient": lambda u: np.array([-u[0] + u[0] ** 2]),
     "hessian": lambda u: np.array([[-1.0 + 2.0 * u[0]]]),
     "profile": lambda x: np.array([1.5 * _sech(x / 2.0) ** 2]),
     "profile_derivative": lambda x: np.array(
         [-1.5 * _sech(x / 2.0) ** 2 * np.tanh(x / 2.0)]
     ),
-    "q_inf": np.array([[-1.0]]),
     "decay_rate": 1.0,
     "kind": "pulse",
 }
 
 _AC_FRONT = {
     "energy": lambda u: 0.5 * u[0] ** 2 - 0.25 * u[0] ** 4,
-    "gradient": lambda u: np.array([u[0] - u[0] ** 3]),
     "hessian": lambda u: np.array([[1.0 - 3.0 * u[0] ** 2]]),
     "profile": lambda x: np.array([np.tanh(x / _SQRT2)]),
     "profile_derivative": lambda x: np.array([_sech(x / _SQRT2) ** 2 / _SQRT2]),
-    "q_inf": np.array([[-2.0]]),
     "decay_rate": _SQRT2,
     "kind": "front",
 }
 
 
 def _stack_scalars(parts):
+    """Block-diagonal stack: its potential is filled in part by part, each
+    part's hessian at its own profile."""
     def energy(u):
         return sum(p["energy"](u[i : i + 1]) for i, p in enumerate(parts))
 
-    def hessian(u):
-        out = np.zeros((len(parts), len(parts)))
+    def potential(x):
+        out = np.zeros((len(parts), len(parts)) + np.shape(x))
         for i, p in enumerate(parts):
-            out[i, i] = p["hessian"](u[i : i + 1])[0, 0]
+            out[i, i] = p["hessian"](p["profile"](x))[0, 0]
         return out
 
     def profile(x):
@@ -207,13 +229,11 @@ def _stack_scalars(parts):
     def profile_derivative(x):
         return np.concatenate([p["profile_derivative"](x) for p in parts])
 
-    q_inf = np.diag([p["q_inf"][0, 0] for p in parts])
     return {
         "energy": energy,
-        "hessian": hessian,
+        "potential": potential,
         "profile": profile,
         "profile_derivative": profile_derivative,
-        "q_inf": q_inf,
         "decay_rate": min(p["decay_rate"] for p in parts),
         "kind": "custom",
     }
@@ -227,32 +247,45 @@ _BUILTINS = {
 
 
 def builtin_functions(name):
-    """Energy/hessian/profile callables backing a built-in model."""
+    """Energy/hessian/profile callables backing a built-in model; a stack
+    carries its potential in place of a hessian."""
     if name not in _BUILTINS:
         raise KeyError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
     return dict(_BUILTINS[name])
 
 
+# where the built-ins' potentials read as their limits
+_X_FAR = 600.0
+
+
 def model_from_functions(name, fns):
-    """Assemble a model whose potential is the energy hessian at the profile."""
+    """Assemble a model whose potential is the energy hessian at the profile,
+    ``hessian(profile(x))`` unless fns gives the ``potential`` itself.
+
+    That potential maps an array of x elementwise, so it is also the
+    model's ``potential_grid``, with x moved to the leading axis.
+    """
     profile = fns["profile"]
-    hessian = fns["hessian"]
-    q_inf = np.atleast_2d(hessian(_limit_value(profile)))
+    potential = fns.get("potential")
+    if potential is None:
+        hessian = fns["hessian"]
+
+        def potential(x):
+            return hessian(profile(x))
+
+    q_minus = np.atleast_2d(potential(-_X_FAR))
     return WaveModel(
-        n=q_inf.shape[0],
-        potential=lambda x: hessian(profile(x)),
-        q_minus=q_inf,
-        q_plus=np.atleast_2d(hessian(_limit_value(profile, side=+1))),
+        n=q_minus.shape[0],
+        potential=potential,
+        q_minus=q_minus,
+        q_plus=np.atleast_2d(potential(_X_FAR)),
         decay_rate=fns["decay_rate"],
         kind=fns["kind"],
         profile=profile,
         profile_derivative=fns["profile_derivative"],
         name=name,
+        potential_grid=lambda xs: np.moveaxis(potential(xs), -1, 0),
     )
-
-
-def _limit_value(profile, side=-1, x_far=600.0):
-    return np.atleast_1d(profile(side * x_far))
 
 
 def builtin(name):
@@ -306,8 +339,9 @@ def _checked(node, namespace):
     raise ValueError(f"{ast.unparse(node)!r} is outside the grammar")
 
 
-def _table_callable(entries, field):
-    """One code object for a table of entries (n x n or n), as x -> array of its shape."""
+def _table_callables(entries, field):
+    """One code object for a table of entries (n x n or n), as x -> array of
+    its shape and as xs (m,) -> (m,) + that shape."""
     namespace = {}
 
     def entry(value, label):
@@ -327,15 +361,26 @@ def _table_callable(entries, field):
     body = ast.Lambda(args, ast.Tuple(nodes, ast.Load()))
     code = compile(ast.fix_missing_locations(ast.Expression(body)), field, "eval")
     table_at = eval(code, {"__builtins__": {}, **namespace})
-    return lambda x: np.array(table_at(np.float64(x))).reshape(table.shape)
+
+    def at(x):
+        return np.array(table_at(np.float64(x))).reshape(table.shape)
+
+    def on_grid(xs):
+        # a constant entry evaluates to one float64, spread along xs
+        values = np.broadcast_arrays(xs, *table_at(xs))[1:]
+        return np.stack(values, axis=-1).reshape(xs.shape + table.shape)
+
+    return at, on_grid
 
 
-def _samples_callable(doc, n, field):
-    """Cubic spline through the samples, x clipped to [x_0, x_N].
+def _samples_callables(doc, n, field):
+    """Cubic spline through the samples, x clipped to [x_0, x_N], as x ->
+    (n, n) and as xs (m,) -> (m, n, n).
 
-    Evaluates the pieces of scipy's ``CubicSpline`` in scalar floats, in the
-    order ``PPoly`` uses, so each value equals ``spline(clip(x, x_0, x_N))``
-    bit for bit at a fraction of its per-call cost.
+    Both evaluate the pieces of scipy's ``CubicSpline`` in the order
+    ``PPoly`` uses, the first in scalar floats, so each value equals
+    ``spline(clip(x, x_0, x_N))`` bit for bit at a fraction of its per-call
+    cost.
     """
     from scipy.interpolate import CubicSpline
 
@@ -351,17 +396,17 @@ def _samples_callable(doc, n, field):
         raise ConfigError(
             field, f"values must have shape ({len(xs)}, {n}, {n}), got {values.shape}"
         )
-    spline = CubicSpline(xs, values, axis=0)
+    # the coefficients of s**3, s**2, s and 1, per interval and entry; PPoly
+    # starts its sum from 0.0, which turns a -0.0 constant into 0.0
+    coef = CubicSpline(xs, values, axis=0).c.reshape(4, len(xs) - 1, n * n)
+    coef[3] += 0.0
+    pieces = [list(zip(*coef[:, i].tolist())) for i in range(len(xs) - 1)]
     knots = xs.tolist()
     lo, hi, last = knots[0], knots[-1], len(knots) - 2
-    # per interval, per entry: the coefficients of s**3, s**2, s and 1;
-    # PPoly starts its sum from 0.0, which turns a -0.0 constant into 0.0
-    pieces = [list(zip(*(c.ravel().tolist() for c in (c3, c2, c1, 0.0 + c0))))
-              for c3, c2, c1, c0 in np.moveaxis(spline.c, 1, 0)]
 
+    # scipy's interval rule: x_i <= x < x_{i+1}, the last one closed
     def evaluate(xv):
         x = min(max(float(xv), lo), hi)
-        # scipy's interval rule: x_i <= x < x_{i+1}, the last one closed
         i = min(bisect_right(knots, x) - 1, last)
         s = x - knots[i]
         s2 = s * s
@@ -369,7 +414,16 @@ def _samples_callable(doc, n, field):
         return np.array([k0 + k1 * s + k2 * s2 + k3 * s3
                          for k3, k2, k1, k0 in pieces[i]]).reshape(n, n)
 
-    return evaluate
+    def on_grid(xv):
+        x = np.clip(xv, lo, hi)
+        i = np.minimum(np.searchsorted(xs, x, side="right") - 1, last)
+        s = (x - xs[i])[:, None]
+        s2 = s * s
+        s3 = s2 * s
+        k3, k2, k1, k0 = coef[:, i]
+        return (k0 + k1 * s + k2 * s2 + k3 * s3).reshape(len(x), n, n)
+
+    return evaluate, on_grid
 
 
 def _float_array(value, field):
@@ -421,9 +475,9 @@ def from_config(doc):
         entries = pot_doc.get("entries")
         if np.array(entries, dtype=object).shape != (n, n):
             raise ConfigError("potential", f"entries must be an {n} x {n} table")
-        potential = _table_callable(entries, "potential")
+        potential, potential_grid = _table_callables(entries, "potential")
     elif pot_doc["kind"] == "samples":
-        potential = _samples_callable(pot_doc, n, "potential")
+        potential, potential_grid = _samples_callables(pot_doc, n, "potential")
     else:
         raise ConfigError("potential", "kind must be 'expression' or 'samples'")
 
@@ -434,7 +488,7 @@ def from_config(doc):
         entries = vec.get("entries") if expression else None
         if np.array(entries, dtype=object).shape != (n,):
             raise ConfigError(key, f"must be an expression object listing {n} entries")
-        profiles[key] = _table_callable(entries, key)
+        profiles[key] = _table_callables(entries, key)[0]
 
     model = WaveModel(
         n=n,
@@ -446,6 +500,7 @@ def from_config(doc):
         profile=profiles.get("profile"),
         profile_derivative=profiles.get("profile_derivative"),
         name=str(doc.get("name", "")),
+        potential_grid=potential_grid,
     )
     try:
         with np.errstate(all="ignore"):  # non-finite Q is a ConfigError, not a warning

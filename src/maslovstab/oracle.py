@@ -70,6 +70,9 @@ def _build_band(q_at, xs, h, n):
 def discretize_interval(q, a, b, h, n=1):
     """FD discretization of d^2/dx^2 + q(x) on (a, b), Dirichlet ends.
 
+    q is a callable x -> q(x) or a WaveModel, sampled on the grid through
+    ``potential_samples``.
+
     The snapped step h must leave 1/h^2 a finite float, else
     DiscretizationError.  MAX_UNKNOWNS bounds the eigensolve of
     ``eigenvalues``, not the inertia count: for n = 2 at 27,506 unknowns
@@ -101,7 +104,7 @@ def discretize(model, L, h):
         raise DiscretizationError(
             f"L = {L} is too short for decay rate {model.decay_rate}"
         )
-    return discretize_interval(model.q, -L, L, h, n=model.n)
+    return discretize_interval(model, -L, L, h, n=model.n)
 
 
 def eigenvalues(disc, k=None):

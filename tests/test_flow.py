@@ -167,6 +167,7 @@ class TestPropagate:
         xs = [-L, 0.0, L]
         init, _, _ = flow._asymptotic_frames(model, lams, "minus")
         reflected = dataclasses.replace(model, potential=lambda x: model.potential(-x),
+                                        potential_grid=None,
                                         q_minus=model.q_plus, q_plus=model.q_minus)
         for mirrored in (0, 3):
             batch = flow.propagate(model, lams, init, xs, opts, mirrored=mirrored)

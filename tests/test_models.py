@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from maslovstab.models import (
     check_essential_stability,
     from_config,
     model_from_functions,
+    potential_samples,
     validate_model,
 )
 import zoo
@@ -288,6 +290,8 @@ class TestFromConfig:
         got = np.array([model.q(x) for x in points])
         want = CubicSpline(xs, values, axis=0)(np.clip(points, xs[0], xs[-1]))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = potential_samples(model, points)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unknown_key_rejected(self):
         cfg = dict(SECH_CONFIG)
@@ -393,6 +397,85 @@ class TestFromConfig:
         )
         with pytest.raises(ModelValidationError, match="not finite at x = 0"):
             validate_model(holed)
+
+
+def _loop_twin(model):
+    """The same model without its array form: sampled point by point."""
+    return dataclasses.replace(model, potential_grid=None)
+
+
+def _config(entries, n):
+    q_inf = (-np.eye(n)).tolist()
+    return {"n": n, "kind": "custom", "decay_rate": 1.0, "q_minus": q_inf,
+            "q_plus": q_inf, "potential": {"kind": "expression", "entries": entries}}
+
+
+def _spline_config(n):
+    rng = np.random.default_rng(5)
+    knots = np.linspace(-12.0, 12.0, 121) + rng.uniform(-0.05, 0.05, 121)
+    s = rng.standard_normal((n, n))
+    values = -np.eye(n) + 0.5 * (s + s.T) * np.exp(-knots**2 / 4)[:, None, None]
+    return {"n": n, "kind": "custom", "decay_rate": 1.0,
+            "q_minus": (-np.eye(n)).tolist(), "q_plus": (-np.eye(n)).tolist(),
+            "potential": {"kind": "samples", "x": knots.tolist(),
+                          "values": values.tolist()}}
+
+
+# the sampling grids' range and two points past it
+_POINTS = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-55.5, 73.25]])
+
+
+class TestArraySampling:
+    EXPRESSIONS = {
+        "n1": _config([["-1 + 12*0.36*sech(0.6*(x - 1.5))**2"]], 1),
+        "n2-constant": _config([["-1 + 3*sech(x/2)**2", "0"],
+                                ["0", "-1 + 3*tanh(x)**2*exp(-x**2)"]], 2),
+    }
+
+    @pytest.mark.parametrize("model", [
+        *(pytest.param(lambda name=name: builtin(name), id=name) for name in BUILTIN_NAMES),
+        *(pytest.param(lambda cfg=cfg: from_config(cfg), id=key)
+          for key, cfg in EXPRESSIONS.items()),
+    ])
+    def test_array_form_matches_the_loop(self, model):
+        # numpy's array and one-element ufunc loops (tanh, cosh) may round
+        # apart in the last place
+        model = model()
+        assert model.potential_grid is not None
+        got = potential_samples(model, _POINTS)
+        want = potential_samples(_loop_twin(model), _POINTS)
+        assert got.shape == want.shape == (len(_POINTS), model.n, model.n)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spline_array_form_is_the_loop_bit_for_bit(self, n):
+        cfg = _spline_config(n)
+        model = from_config(cfg)
+        knots = np.array(cfg["potential"]["x"])
+        # clipped on both sides, and on every knot (the last interval closed)
+        points = np.concatenate([_POINTS, knots, [-np.inf, np.inf, -1e300]])
+        got = potential_samples(model, points)
+        want = potential_samples(_loop_twin(model), points)
+        assert got.shape == (len(points), n, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("entries, message", [
+        ([["-1 + 3*sech(x/2)**2 + 0*log(abs(x - 3.3))"]],
+         "potential is not finite at x = 3.3"),
+        ([["-1", "exp(-(1000*(x - 3.3))**2)"], ["0", "-1"]],
+         "potential is asymmetric at x = 3.3"),
+    ], ids=["nan", "asymmetric"])
+    def test_refusals_read_the_same_on_both_paths(self, entries, message):
+        # the bad point lies off the validation grid, so the model builds
+        model = from_config(_config(entries, len(entries)))
+        points = [0.0, 1.25, 3.3, 4.0]
+        texts = []
+        for source in (model, _loop_twin(model)):
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(ModelValidationError) as info:
+                potential_samples(source, points)
+            texts.append(str(info.value))
+        assert texts == [message, message]
 
 
 _FUNCTION_NAMES = ("exp", "log", "sqrt", "abs", "sin", "cos", "sinh", "cosh",
