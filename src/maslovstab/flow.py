@@ -35,18 +35,19 @@ segment is more than four times as long as the one before.  Segments end on
 requested points where they can, else on a unit grid, never short of its
 next point.  Each segment after the first continues from the last step size
 the integrator chose freely on the previous one, and its end state is the
-solver's last step, not an interpolated value.
+solver's last step, not an interpolated value.  The integrator is the
+package's DOP853 loop (``dop853``), which gives scipy's DOP853 states bit
+for bit and reads Q once per step at all its stage abscissae.
 """
 
-import gc
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import symplectic
+from .dop853 import solve_ivp
 from .errors import (
     ContourError,
     CountMismatchError,
@@ -172,34 +173,47 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
     its own order.  Its right-hand side is Y on top and lambda X - Q X
     below, with one (n, n) @ (n, columns) product for Q(x) on the plain
     columns and one for Q(-x) on the mirrored ones; the stack goes into and
-    out of that layout once per segment, never per call.  The frames are
-    re-orthonormalized by positive-diagonal QR at the segment's end.  The
-    first segment may reach 1 unit of x; after that, the largest |log r_ii|
-    of R's diagonal over the stack, against the budget ln(1/rtol) / 2, sets
-    the next reach, at most four times the last segment's length.  A segment
-    ends on the farthest x of xs within reach; if none is, on the farthest
-    point of ``_unit_grid(xs[0], xs[-1])`` within reach, and at least on the
-    next one.  It starts with the previous one's last unclipped step and
-    builds the dense interpolant only for samples strictly inside it; the
-    frame at xs[0] is the QR'd input.  Returns (len(xs), K, 2n, n)
-    orthonormal frames.  Q is checked by ``potential_samples`` at xs[0],
-    where DOP853 would pick a NaN first step and never finish it, and, when
-    a segment fails, where the solver stopped and at the segment's end;
-    with mirrored frames, at the mirrors of those points too.
+    out of that layout once per segment, never per call.  Q is sampled
+    once per attempted step at its 11 stage abscissae, through
+    ``potential_grid`` where the model has one and through ``q`` point by
+    point otherwise, and with mirrored frames once more at their mirrors.
+    The frames are re-orthonormalized by positive-diagonal QR at the
+    segment's end.  The first segment may reach 1 unit of x; after that,
+    the largest |log r_ii| of R's diagonal over the stack, against the
+    budget ln(1/rtol) / 2, sets the next reach, at most four times the last
+    segment's length.  A segment ends on the farthest x of xs within reach;
+    if none is, on the farthest point of ``_unit_grid(xs[0], xs[-1])``
+    within reach, and at least on the next one.  It starts with the
+    previous one's last unclipped step and evaluates the dense polynomial
+    only on the steps that hold a sample strictly inside it; the frame at
+    xs[0] is the QR'd input.  Returns (len(xs), K, 2n, n) orthonormal
+    frames.  Q is checked by ``potential_samples`` at xs[0], where DOP853
+    would pick a NaN first step and never finish it, and, when a segment
+    fails, at every stage abscissa of the last attempted step and at the
+    segment's end; with mirrored frames, at the mirrors of those points
+    too.
     """
     n = model.n
     shape = frames.shape
     k = shape[0]
     flat = (2 * n, k * n)
     lam_row = np.repeat(np.asarray(lams), n)
-    q = model.q
-    last_x = None
     # columns [0, split) read Q at x, columns [split, K n) at -x
     split = (k - mirrored) * n
+    at = model.potential_grid
+    if at is None:
+        def at(points):
+            return np.array([model.q(x) for x in points])
 
-    def rhs(x, y):
-        nonlocal last_x
-        last_x = x
+    def sample(ts):
+        # Q at one DOP853 step's stage abscissae: one (n, n) matrix per
+        # stage, or the pair (Q(x), Q(-x)) with mirrored frames; contiguous,
+        # so that each product takes the BLAS path a fresh q(x) took
+        if mirrored:
+            return np.stack([at(ts), at(-ts)], axis=1)
+        return np.ascontiguousarray(at(ts))
+
+    def rhs(x, y, q_x):
         u = y.reshape(flat)
         out = np.empty_like(u)
         out[:n] = u[n:]
@@ -208,10 +222,10 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
         # one (n, n) @ (n, columns) product per Q: a stacked matmul over the
         # (K, 2n, n) frames would make one BLAS call per lambda
         if mirrored:
-            bottom[:, :split] -= q(x) @ top[:, :split]
-            bottom[:, split:] -= q(-x) @ top[:, split:]
+            bottom[:, :split] -= q_x[0] @ top[:, :split]
+            bottom[:, split:] -= q_x[1] @ top[:, split:]
         else:
-            bottom -= q(x) @ top
+            bottom -= q_x @ top
         return out.ravel()
 
     def check(*points):
@@ -250,26 +264,19 @@ def propagate(model, lams, frames, xs, opts, mirrored=0):
         # Q and lambda do not change at s0: the last step the previous
         # segment chose freely holds its error control here as well
         sol = solve_ivp(
-            rhs, (s0, s1), u.transpose(1, 0, 2).ravel(), method="DOP853",
-            dense_output=len(inner) > 0,
+            rhs, (s0, s1), u.transpose(1, 0, 2).ravel(), points=inner, sample=sample,
             first_step=None if step is None else min(step, abs(s1 - s0)),
             rtol=opts.rtol, atol=opts.rtol * 1e-2,
         )
         if not sol.success:
-            check(last_x, s1)
+            check(*sol.nodes, s1)
             raise SolverError(
                 f"frame evolution failed on [{s0:.6g}, {s1:.6g}]: {sol.message}"
             )
-        # the finished solver refers to itself through its RHS wrapper; free
-        # its stage arrays now instead of letting them pile up until a full
-        # collection
-        gc.collect(1)
         if len(sol.t) > 2:
             # the last step may be clipped at s1; the one before it is not
             step = abs(sol.t[-2] - sol.t[-3])
-        ys = sol.y[:, -1:]
-        if len(inner):
-            ys = np.concatenate([sol.sol(inner), ys], axis=1)
+        ys = np.concatenate([sol.ys, sol.y[:, None]], axis=1)
         # the states in the columns of ys as (m, K, 2n, n) frames
         ys = ys.T.reshape(-1, 2 * n, k, n).swapaxes(1, 2)
         stack = symplectic.qr_positive(ys)

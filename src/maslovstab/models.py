@@ -38,11 +38,12 @@ SYMMETRY_TOL = 1e-12
 class WaveModel:
     """Potential Q of d^2/dx^2 + Q(x), its limits and decay rate.
 
-    ``potential`` maps one x to Q(x); the ODE right-hand sides read it
-    through ``q``.  The optional ``potential_grid`` maps an array xs of
-    shape (m,) to the (m, n, n) samples, and ``potential_samples`` reads a
-    grid of Q through it in one call: the built-ins and ``from_config``
-    models carry one.  A model without it is sampled point by point.  The
+    ``potential`` maps one x to Q(x), read through ``q``.  The optional
+    ``potential_grid`` maps an array xs of shape (m,) to the (m, n, n)
+    samples: ``potential_samples`` reads a grid of Q through it in one
+    call, and the frame flow reads the stage abscissae of each DOP853 step
+    through it in one call.  The built-ins and ``from_config`` models carry
+    one; a model without it is read through ``q`` point by point.  The
     samples get the same check either way, with the same messages.
     """
 
@@ -284,7 +285,7 @@ def model_from_functions(name, fns):
         profile=profile,
         profile_derivative=fns["profile_derivative"],
         name=name,
-        potential_grid=lambda xs: np.moveaxis(potential(xs), -1, 0),
+        potential_grid=lambda xs: potential(xs).transpose(2, 0, 1),
     )
 
 

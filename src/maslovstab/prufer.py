@@ -31,9 +31,9 @@ estimate of each root.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .dop853 import solve_ivp
 from .errors import (
     BoundaryResonanceError,
     BracketError,
@@ -80,30 +80,36 @@ class PruferTrajectory:
     dense: object = field(repr=False, compare=False, default=None)
 
     def theta_at(self, x):
-        return float(self.dense.sol(x)[0])
+        return float(self.dense(x)[0])
 
 
-def _angle_solution(prob, lams, rtol, dense_output=False):
+def _angle_solution(prob, lams, rtol, points=(), dense=False):
     """Integrate the angle equation over (a, b) for a vector of lambdas at once.
 
-    The state holds one angle per lambda; every right-hand side evaluation
-    reads q once, so a batch costs about one shot's worth of solver steps.
+    The state holds one angle per lambda; q is read once per stage abscissa
+    of each step, so a batch costs about one shot's worth of solver steps.
+    The states at ``points`` and, with ``dense``, an interpolant over
+    (a, b) come with the end state.
     """
     lams = np.asarray(lams, dtype=float)
     q = prob.q
 
-    def rhs(x, theta):
+    def sample(xs):
+        return np.array([float(q(x)) for x in xs])
+
+    def rhs(x, theta, q_x):
         s, c = np.sin(theta), np.cos(theta)
-        return c * c + (float(q(x)) - lams) * s * s
+        return c * c + (q_x - lams) * s * s
 
     sol = solve_ivp(
         rhs,
         prob.interval,
         np.zeros(len(lams)),
-        method="DOP853",
         rtol=rtol,
         atol=max(rtol * 1e-2, 1e-14),
-        dense_output=dense_output,
+        points=points,
+        sample=sample,
+        dense=dense,
     )
     if not sol.success:
         raise SolverError(
@@ -114,7 +120,7 @@ def _angle_solution(prob, lams, rtol, dense_output=False):
 
 def _theta_ends(prob, lams, rtol):
     """theta(b; lambda) for every lambda in `lams`, from one integration."""
-    return _angle_solution(prob, lams, rtol).y[:, -1]
+    return _angle_solution(prob, lams, rtol).y
 
 
 def _mismatch(prob, lams, x_m, rtol):
@@ -126,9 +132,10 @@ def _mismatch(prob, lams, x_m, rtol):
 
         d theta / dt = (x_m - s_i) (1 + (q(x_i) - lambda - 1) sin^2 theta),
 
-    the angle equation with cos^2 = 1 - sin^2, so one right-hand side reads
-    q once per leg and takes one sine of the whole state.  The pair costs
-    about one full shot.  Delta decreases strictly in lambda, and
+    the angle equation with cos^2 = 1 - sin^2.  Each DOP853 step reads q on
+    both legs at all its stage abscissae into one (m, 2, 1) array, and each
+    right-hand side takes its row and one sine of the whole state.  The
+    pair costs about one full shot.  Delta decreases strictly in lambda, and
     floor(Delta / pi) counts the eigenvalues above lambda:
     Delta(lambda_j) = (j+1) pi.
     """
@@ -138,13 +145,16 @@ def _mismatch(prob, lams, x_m, rtol):
     a, b = prob.a, prob.b
     len_a, len_b = x_m - a, x_m - b
     lengths = np.array([[len_a], [len_b]])
+    starts = np.array([[a], [b]])
     offset = lengths * (lams + 1.0)
-    # (x_m - s_i) q(x_i), rewritten in place by every right-hand side
-    scaled_q = np.empty((2, 1))
 
-    def rhs(t, theta):
-        scaled_q[0, 0] = len_a * float(q(a + t * len_a))
-        scaled_q[1, 0] = len_b * float(q(b + t * len_b))
+    def sample(ts):
+        # (x_m - s_i) q(x_i) at every stage abscissa of one step, as (m, 2, 1)
+        xs = starts + ts * lengths
+        qs = np.array([float(q(x)) for x in xs.ravel()]).reshape(xs.shape)
+        return (lengths * qs).T[:, :, None]
+
+    def rhs(t, theta, scaled_q):
         s = np.sin(theta).reshape(2, k)
         out = scaled_q - offset
         out *= s
@@ -156,9 +166,9 @@ def _mismatch(prob, lams, x_m, rtol):
         rhs,
         (0.0, 1.0),
         np.zeros(2 * k),
-        method="DOP853",
         rtol=rtol,
         atol=max(rtol * 1e-2, 1e-14),
+        sample=sample,
     )
     if not sol.success:
         t = sol.t[-1]
@@ -166,18 +176,16 @@ def _mismatch(prob, lams, x_m, rtol):
             f"angle integration failed near x = {a + t * len_a:.6g} (from a) "
             f"and x = {b + t * len_b:.6g} (from b): {sol.message}"
         )
-    ends = sol.y[:, -1]
-    return ends[:k] - ends[k:]
+    return sol.y[:k] - sol.y[k:]
 
 
 def prufer_flow(prob, lambda_, rtol=1e-9, n_samples=257):
     """Integrate the decoupled angle equation with theta(a) = 0."""
     lam = float(lambda_)
-    sol = _angle_solution(prob, [lam], rtol, dense_output=True)
     xs = np.linspace(prob.a, prob.b, n_samples)
-    thetas = sol.sol(xs)[0]
-    samples = np.column_stack([xs, thetas])
-    return PruferTrajectory(lam, samples, float(sol.y[0, -1]), dense=sol)
+    sol = _angle_solution(prob, [lam], rtol, points=xs, dense=True)
+    samples = np.column_stack([xs, sol.ys[0]])
+    return PruferTrajectory(lam, samples, float(sol.y[0]), dense=sol.sol)
 
 
 def _check_resonance(theta_end):

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import solve_ivp
 from .errors import SolverError
 
 HARMONIC_LMAX = 8
@@ -138,19 +138,18 @@ def evolve_mode(d, l, init, tau_range=(0.0, 10.0), rtol=1e-12):
         )
     gap = proj.unstable_rate - proj.stable_rate
     m = mode_matrix_tau(d, l)
+    taus = np.linspace(tau_range[0], tau_range[1], 257)
     sol = solve_ivp(
-        lambda t, y: m @ y,
+        lambda t, y, _: m @ y,
         tau_range,
         np.asarray(init, dtype=float),
-        method="DOP853",
         rtol=rtol,
         atol=1e-14,
-        dense_output=True,
+        points=taus,
     )
     if not sol.success:
         raise SolverError(f"mode integration failed: {sol.message}")
-    taus = np.linspace(tau_range[0], tau_range[1], 257)
-    states = sol.sol(taus)
+    states = sol.ys
     if kind == "stable":
         # keep roundoff contamination of the unstable bundle below ~1e-7
         safe = tau_range[0] + min(span, math.log(1e7) / gap if gap > 0 else span)

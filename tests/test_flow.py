@@ -16,6 +16,7 @@ from maslovstab.errors import (
     ContourError,
     CountMismatchError,
     InconsistencyError,
+    ModelValidationError,
     NonHyperbolicError,
     NonLagrangianError,
     OptionsError,
@@ -187,6 +188,27 @@ class TestPropagate:
         assert_allclose(out[0], expected, atol=1e-15)
         assert_allclose(out[1], expected, atol=1e-15)
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["pointwise", "array"])
+    @pytest.mark.parametrize("mirrored", [0, 1])
+    def test_failed_segment_names_where_the_solver_stopped(self, grid, mirrored):
+        # Q is NaN past x = 0.5 only, which no grid point holds: the failed
+        # segment's check samples the last attempted step's nodes (with the
+        # mirrored frame, their mirrors) and names one just past 0.5
+        def on_grid(xs):
+            return np.where(xs > 0.5, np.nan, -1.0)[:, None, None]
+
+        model = dataclasses.replace(constant_model([[-1.0]]),
+                                    potential=lambda x: on_grid(np.array([x]))[0],
+                                    potential_grid=on_grid if grid else None)
+        lams = np.array([0.5, 0.5])
+        init, _, _ = flow._asymptotic_frames(model, lams, "minus")
+        # a mirrored frame reads Q(-x): it meets the NaN at x < -0.5
+        xs = [0.0, -1.0] if mirrored else [0.0, 1.0]
+        with pytest.raises(ModelValidationError) as info:
+            flow.propagate(model, lams, init, xs, FlowOptions(), mirrored=mirrored)
+        x = float(info.value.args[0].rpartition("x = ")[2])
+        assert 0.5 < x < 0.5 + 1e-12
+
 
 class TestAccuracy:
     """The default tolerance against an rtol = 1e-11 reference at
@@ -277,7 +299,7 @@ class TestStrongTails:
 
         def recording(fun, t_span, y0, **kwargs):
             sol = solve(fun, t_span, y0, **kwargs)
-            growth = np.log(np.linalg.norm(sol.y[:, -1]) / np.linalg.norm(y0))
+            growth = np.log(np.linalg.norm(sol.y) / np.linalg.norm(y0))
             segments.append((float(t_span[1] - t_span[0]), float(t_span[1]), growth))
             return sol
 
@@ -504,14 +526,16 @@ class TestWorkBudget:
         # time, 6 from -L to 0 carrying U_- and the reflected U_+ together,
         # where two legs made 6 + 6 and one call per cell 21 + 21
         assert len(calls) == 6
-        # the two legs took 1,643 RHS evaluations; one run takes 904
-        assert sum(nfev for _, _, nfev in calls) <= 904
+        # the two legs took 1,643 RHS evaluations; one run took 904 while
+        # every step of a segment with a frame inside built the dense
+        # stages, and takes 784 with them only on the steps holding a frame
+        assert sum(nfev for _, _, nfev in calls) <= 784
         # every end state is the solver's; the interpolant is built only for
         # the frames of [-L, 0]'s unit grid strictly inside a segment
         for (a, b), kw, _ in calls:
-            assert kw.get("t_eval") is None and -opts.truncation <= a < b <= 0.0
+            assert not kw.get("dense") and -opts.truncation <= a < b <= 0.0
             inside = np.any((grid > a) & (grid < b))
-            assert bool(kw.get("dense_output")) == bool(inside)
+            assert (len(kw.get("points", ())) > 0) == bool(inside)
 
     def test_contour_winding_builds_no_interpolant(self, monkeypatch):
         calls = []
@@ -519,7 +543,8 @@ class TestWorkBudget:
 
         def recording(fun, t_span, *args, **kwargs):
             sol = solve(fun, t_span, *args, **kwargs)
-            calls.append((bool(kwargs.get("dense_output")), sol.nfev))
+            calls.append((bool(kwargs.get("dense")) or len(kwargs.get("points", ())) > 0,
+                          sol.nfev))
             return sol
 
         monkeypatch.setattr(flow, "solve_ivp", recording)
