@@ -44,9 +44,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import symplectic
+from .brent import brentq
 from .dop853 import solve_ivp
 from .errors import (
     ContourError,

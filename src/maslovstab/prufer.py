@@ -31,8 +31,8 @@ estimate of each root.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .dop853 import solve_ivp
 from .errors import (
     BoundaryResonanceError,

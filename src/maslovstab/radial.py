@@ -46,7 +46,7 @@ def mode_exponents(d, l):
         raise ValueError("need space dimension d >= 2")
     if l < 0:
         raise ValueError("mode index l must be nonnegative")
-    return float(l), -float(l + d - 2)
+    return float(l), float(-(l + d - 2))
 
 
 def radial_system_matrix(d, l, s):

@@ -577,6 +577,37 @@ class TestBasics:
                 vals = [float(r[1]) for r in list(csv.reader(fh))[1:]]
         assert len(vals) == 3 and min(vals) > -1.0
 
+    def test_radial_double_root_prints_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "radial", "--d", "2", "--l", "0")
+        assert code == 0
+        assert out == "exponents=0,0"
+
+
+class TestColdStart:
+    def test_cli_run_loads_no_optimize_integrate_or_sparse(self):
+        # a fresh interpreter, as every maslov-stab invocation starts one; the
+        # conjugate command refines its crossing with the Brent root finder
+        script = """
+import sys
+import maslovstab.flow as flow
+from maslovstab.cli import main
+brentq, calls = flow.brentq, []
+def counted(*args, **kwargs):
+    calls.append(1)
+    return brentq(*args, **kwargs)
+flow.brentq = counted
+assert main(["conjugate", "--model", "scalar_sech_pulse", "--lambda-star", "1e-3"]) == 0
+assert calls, "the run found no crossing to refine"
+print(sorted(name for name in sys.modules if name.split(".")[:2] in (
+    ["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "sparse"])))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["conjugate_points=1", "[]"]
+
 
 class TestArtifacts:
     def test_csv_round_trips_17_digits(self, capsys, tmp_path):

@@ -5,13 +5,15 @@ of an n = 2 potential, carried as one (2n, K n) matrix as ``flow.propagate``
 carries it.  The kernel reads Q from one ``sample`` call per step, scipy
 calls Q once per right-hand side; ``sample`` loops over the same function,
 so both see the same numbers and every state must come out equal, not
-close.  Importing ``maslovstab.dop853`` also guards scipy's private tableau
-module, which it reads.
+close.  The kernel's tableau is a copy of scipy's private
+``dop853_coefficients`` module, so the first tests pin every array of the
+copy to scipy's, bit for bit.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 from maslovstab import dop853
 
@@ -24,6 +26,39 @@ COMPLEX = REAL + 0.7j
 def potential(x):
     r = 1.0 / (1.0 + x * x)
     return np.array([[1.0 - 3.0 * r, 0.5 * r], [0.5 * r, -1.0 + 2.0 / (4.0 + x * x)]])
+
+
+S = scipy_tableau.N_STAGES
+TABLEAU = {
+    "_A": scipy_tableau.A[:S, :S],
+    "_B": scipy_tableau.B,
+    "_C": scipy_tableau.C[:S],
+    "_E3": scipy_tableau.E3,
+    "_E5": scipy_tableau.E5,
+    "_D": scipy_tableau.D,
+    "_A_EXTRA": scipy_tableau.A[S + 1:],
+    "_C_EXTRA": scipy_tableau.C[S + 1:],
+}
+
+
+class TestTableau:
+    @pytest.mark.parametrize("name", sorted(TABLEAU))
+    def test_array_is_scipys(self, name):
+        ours, theirs = getattr(dop853, name), TABLEAU[name]
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+        # equal bits, so no entry differs in the sign of a zero either
+        assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+    def test_stage_counts_are_scipys(self):
+        assert dop853._N == scipy_tableau.N_STAGES
+        assert dop853._N_EXTENDED == scipy_tableau.N_STAGES_EXTENDED
+        assert dop853._INTERPOLATOR_POWER == scipy_tableau.INTERPOLATOR_POWER
+
+    def test_last_stage_ends_the_step(self):
+        # the step's end derivative is read at the last stage abscissa
+        assert dop853._NODES[-1] == 1.0
+        assert len(dop853._NODES) == dop853._N - 1
 
 
 class CountingSample:

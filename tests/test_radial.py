@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -40,6 +42,8 @@ class TestExponents:
 
     def test_d2_l0_double_root(self):
         assert mode_exponents(2, 0) == (0.0, 0.0)
+        # both +0.0: -0.0 == 0.0, so only the sign tells them apart
+        assert [math.copysign(1.0, mu) for mu in mode_exponents(2, 0)] == [1.0, 1.0]
 
     def test_indicial_identity(self):
         for d in (3, 4, 5):
