@@ -2,10 +2,11 @@
 Without Derivatives*, 1973, chapter 4).
 
 ``brentq`` is a line-by-line port of the C routine behind
-``scipy.optimize.brentq`` (scipy/optimize/Zeros/brentq.c): the same
-interpolation and extrapolation steps, the same tolerance 2 delta with
-delta = (xtol + rtol |x|) / 2, and the same order of evaluations, so it
-returns the same root after the same number of calls of f.  The package
+``scipy.optimize.brentq`` (scipy/optimize/Zeros/brentq.c) at scipy's
+default rtol and maxiter: the same interpolation and extrapolation
+steps, the same tolerance 2 delta with delta = (xtol + RTOL |x|) / 2,
+and the same order of evaluations, so it returns the same root after
+the same number of calls of f.  The package
 owns it so that importing the package does not load ``scipy.optimize``.
 Where scipy raises ValueError or RuntimeError, it raises ``SolverError``.
 """
@@ -15,8 +16,9 @@ import sys
 
 from .errors import SolverError
 
-# scipy's default and least rtol
+# scipy's defaults: its least rtol and its iteration cap
 RTOL = 4 * sys.float_info.epsilon
+MAXITER = 100
 
 
 def _value(f, x):
@@ -26,13 +28,13 @@ def _value(f, x):
     return fx
 
 
-def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
+def brentq(f, a, b, xtol):
     """A root of f between a and b, where f(a) and f(b) differ in sign.
 
-    The root is returned as a float within 2 (xtol + rtol |x|) of a sign
+    The root is returned as a float within 2 (xtol + RTOL |x|) of a sign
     change of f.  f is called with floats and must return a real number.
     Raises ``SolverError`` naming x when f is NaN there, when f(a) and
-    f(b) have the same sign, and when maxiter iterations end short of the
+    f(b) have the same sign, and when MAXITER iterations end short of the
     tolerance.
     """
     xpre, xcur = float(a), float(b)
@@ -48,7 +50,7 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
             f"root finder: f(x) has the same sign at x = {xpre!r} ({fpre!r}) "
             f"and at x = {xcur!r} ({fcur!r})"
         )
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -56,7 +58,7 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -90,5 +92,5 @@ def brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise SolverError(
-        f"root finder: no convergence in {maxiter} iterations, last x = {xcur!r}"
+        f"root finder: no convergence in {MAXITER} iterations, last x = {xcur!r}"
     )
