@@ -158,6 +158,12 @@ def _events_payload(events):
     ]
 
 
+def _scalar_problem(model, opts):
+    """The n = 1 model on [-L, L] of the resolved ``opts`` as a Prufer problem."""
+    L = opts.truncation
+    return prufer.ScalarProblem(q=lambda x: float(model.q(x)[0, 0]), interval=(-L, L))
+
+
 # --------------------------------------------------------------------------
 # Subcommand implementations.  Each returns (exit_code, summary_line).
 
@@ -172,9 +178,8 @@ def _cmd_prufer(args):
     if model.n != 1:
         raise CliUsageError("prufer requires a scalar (n = 1) model")
     opts = _flow_options(args).resolve(model)
-    a, b = -opts.truncation, opts.truncation
-    prob = prufer.ScalarProblem(q=lambda x: float(model.q(x)[0, 0]), interval=(a, b))
-    traj = prufer.prufer_flow(prob, args.lambda_star, rtol=min(opts.rtol, 1e-9))
+    traj = prufer.prufer_flow(_scalar_problem(model, opts), args.lambda_star,
+                              rtol=min(opts.rtol, 1e-9))
     if args.output:
         if args.format == "json":
             _write_json(args.output, {
@@ -194,14 +199,12 @@ def _cmd_spectrum(args):
     opts = _flow_options(args).resolve(model)
     edge = check_essential_stability(model).max_eig_qinf
     if model.n == 1:
-        prob = prufer.ScalarProblem(
-            q=lambda x: float(model.q(x)[0, 0]),
-            interval=(-opts.truncation, opts.truncation),
-        )
+        prob = _scalar_problem(model, opts)
         # only the eigenvalues above the edge are kept, and the angle
         # mismatch at the edge counts them
         x_m = prufer._q_peak(prob)[1]
-        above = int(np.floor(prufer._mismatch(prob, [edge], x_m, 1e-11)[0] / np.pi))
+        edge_delta = prufer._mismatch(prob, [edge], x_m, prufer.SEARCH_RTOL)[0]
+        above = int(np.floor(edge_delta / np.pi))
         vals = prufer.find_eigenvalues(prob, min(count, above)) if above else np.empty(0)
         method = "prufer"
     else:

@@ -437,7 +437,7 @@ def _float_array(value, field):
 def _symmetric_array(doc, key, n):
     arr = np.atleast_2d(_float_array(doc[key], key))
     if arr.shape != (n, n):
-        raise ConfigError(key, f"must be an {n} x {n} matrix, got shape {arr.shape}")
+        raise ConfigError(key, f"must have shape ({n}, {n}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(key, "entries must be finite")
     if np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
@@ -475,7 +475,7 @@ def from_config(doc):
     if pot_doc["kind"] == "expression":
         entries = pot_doc.get("entries")
         if np.array(entries, dtype=object).shape != (n, n):
-            raise ConfigError("potential", f"entries must be an {n} x {n} table")
+            raise ConfigError("potential", f"entries must be a table of shape ({n}, {n})")
         potential, potential_grid = _table_callables(entries, "potential")
     elif pot_doc["kind"] == "samples":
         potential, potential_grid = _samples_callables(pot_doc, n, "potential")
@@ -488,7 +488,7 @@ def from_config(doc):
         expression = isinstance(vec, dict) and vec.get("kind") == "expression"
         entries = vec.get("entries") if expression else None
         if np.array(entries, dtype=object).shape != (n,):
-            raise ConfigError(key, f"must be an expression object listing {n} entries")
+            raise ConfigError(key, f"must be an expression object with entries of shape ({n},)")
         profiles[key] = _table_callables(entries, key)[0]
 
     model = WaveModel(

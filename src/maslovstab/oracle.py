@@ -40,19 +40,6 @@ class Discretization:
     def size(self):
         return self.band.shape[1]
 
-    def dense(self):
-        """Materialize the full symmetric matrix (small problems only)."""
-        m = self.size
-        if m > 4000:
-            raise DiscretizationError(f"dense materialization refused for size {m}")
-        out = np.zeros((m, m))
-        for off in range(self.band.shape[0]):
-            vals = self.band[off, : m - off]
-            idx = np.arange(m - off)
-            out[idx + off, idx] = vals
-            out[idx, idx + off] = vals
-        return out
-
 
 def _build_band(q_at, xs, h, n):
     npt = len(xs)

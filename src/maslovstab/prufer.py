@@ -43,6 +43,10 @@ from .models import potential_samples
 
 ANGLE_TOL = 1e-10
 RESONANCE_TOL = 1e-7
+# integration tolerances of the angle counts (count_eigenvalues_above,
+# conjugate_points) and of the eigenvalue search
+COUNT_RTOL = 1e-10
+SEARCH_RTOL = 1e-11
 # interior points per open bracket in each round of find_eigenvalues
 MULTISECTION_POINTS = 15
 # largest rise of the angle mismatch between sorted shots of one search that
@@ -197,9 +201,9 @@ def _check_resonance(theta_end):
         )
 
 
-def count_eigenvalues_above(prob, lambda_star, rtol=1e-10):
+def count_eigenvalues_above(prob, lambda_star):
     """Number of Dirichlet eigenvalues strictly above lambda_star."""
-    theta_end = _theta_ends(prob, [lambda_star], rtol)[0]
+    theta_end = _theta_ends(prob, [lambda_star], COUNT_RTOL)[0]
     _check_resonance(theta_end)
     return int(np.floor(theta_end / np.pi))
 
@@ -229,7 +233,7 @@ def _inverse_interpolation(lams, deltas, targets, upper):
         return (weights * lam).sum(axis=1)
 
 
-def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
+def find_eigenvalues(prob, how_many):
     """The top eigenvalues lambda_0 > lambda_1 > ... by a lockstep root search.
 
     Solves Delta(lambda_j) = (j+1) pi for the angle mismatch of ``_mismatch``,
@@ -255,8 +259,8 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     bracket is split evenly instead, as plain multisection would, when it
     holds several targets or when the previous round's estimate for it came
     no closer to the root than an even split would have.  A root is
-    accepted at an evaluated lambda whose mismatch is within angle_tol of
-    its target.
+    accepted at an evaluated lambda whose mismatch is within ANGLE_TOL of
+    its target.  Every shot integrates at rtol = SEARCH_RTOL.
 
     An eigenfunction that lives far from x_m (in one well of several) makes
     Delta a staircase near its eigenvalue: it drops by pi over a lambda
@@ -281,7 +285,7 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
     # a narrow dip, so the doubling loop below still checks the bracket
     lo = q_min - (targets[-1] / (prob.b - prob.a)) ** 2 - 1.0
     lams = np.linspace(hi, lo, 4 * (MULTISECTION_POINTS + 1) + 1)
-    deltas = _mismatch(prob, lams, x_m, rtol)
+    deltas = _mismatch(prob, lams, x_m, SEARCH_RTOL)
     if deltas[0] >= targets[0]:
         raise BracketError("upper bracket does not undershoot the target angle")
     expansions = 0
@@ -294,7 +298,7 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
         expansions += 1
         lo = hi - 2.0 * (hi - lo)
         lams = np.append(lams, lo)
-        deltas = np.append(deltas, _mismatch(prob, [lo], x_m, rtol))
+        deltas = np.append(deltas, _mismatch(prob, [lo], x_m, SEARCH_RTOL))
     even = np.arange(1, MULTISECTION_POINTS + 1) / (MULTISECTION_POINTS + 1)
     scales = 10.0 ** -np.arange(1, MULTISECTION_POINTS // 2 + 1)
     cluster = np.concatenate([[0.0], -scales, scales])
@@ -321,7 +325,7 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
         lower_lam, upper_lam = lams[upper - 1], lams[upper]
         width = upper_lam - lower_lam
         xtol = 1e-13 + 8.9e-16 * np.maximum(abs(lower_lam), abs(upper_lam))
-        open_ = (residuals >= angle_tol) & (width > xtol)
+        open_ = (residuals >= ANGLE_TOL) & (width > xtol)
         # last round's estimate earns a clustered round if it came as close
         # to the root as an even split of its bracket would have
         miss = np.maximum(abs(estimate - lower_lam), abs(estimate - upper_lam))
@@ -345,8 +349,8 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
         if len(fresh) == 0:
             break
         lams = np.append(lams, fresh)
-        deltas = np.append(deltas, _mismatch(prob, fresh, x_m, rtol))
-    hit = residuals < angle_tol
+        deltas = np.append(deltas, _mismatch(prob, fresh, x_m, SEARCH_RTOL))
+    hit = residuals < ANGLE_TOL
     mids = 0.5 * (lower_lam + upper_lam)
     pinched = 0.5 * width <= 1e-9 * (1.0 + abs(mids))
     failed = np.nonzero(~hit & ~pinched)[0]
@@ -354,19 +358,19 @@ def find_eigenvalues(prob, how_many, angle_tol=ANGLE_TOL, rtol=1e-11):
         j = failed[0]
         raise BracketError(
             f"eigenvalue {j} refined to residual {residuals[j]:.3e} >= "
-            f"{angle_tol:.1e} without a pinched bracket"
+            f"{ANGLE_TOL:.1e} without a pinched bracket"
         )
     return np.where(hit, lams[best], mids)
 
 
-def conjugate_points(prob, lambda_star, rtol=1e-10):
+def conjugate_points(prob, lambda_star):
     """x-values in (a, b) where theta(x; lambda_star) crosses j pi, j >= 1.
 
     One conjugate point per eigenvalue above lambda_star; theta passes each
     multiple of pi with slope one, so every crossing is a first passage and
     is refined by root bracketing on the dense trajectory.
     """
-    traj = prufer_flow(prob, lambda_star, rtol=rtol, n_samples=1025)
+    traj = prufer_flow(prob, lambda_star, rtol=COUNT_RTOL, n_samples=1025)
     _check_resonance(traj.theta_end)
     count = int(np.floor(traj.theta_end / np.pi))
     xs = traj.samples[:, 0]

@@ -2,7 +2,8 @@
 
 ``charpoly_bisection_eigenvalues`` (Householder tridiagonalization + Sturm
 bisection) avoids LAPACK, so the tests can check the FD oracle's LAPACK
-results against it.
+results against it, on the full matrix that ``dense_matrix`` builds from a
+``Discretization``'s band.
 
 Test oracles that no code in the package calls live here too:
 ``check_lagrangian`` (with ``LagrangianCheck``, ``RANK_TOL`` and
@@ -10,8 +11,10 @@ Test oracles that no code in the package calls live here too:
 ``constant_model`` is the no-wave baseline model;
 ``translation_mode_residual`` checks a profile against its potential;
 ``eigenfunction_zero_count`` (raising ``NotAnEigenvalueError``) reads the
-Sturm zero count off the Prufer angle; and ``evans_matched_at`` is the
-Evans value matched at any x from two plain propagation legs.
+Sturm zero count off the Prufer angle; ``evans_matched_at`` is the
+Evans value matched at any x from two plain propagation legs; and
+``quadrature_grid`` integrates over the unit sphere, as spherical-harmonic
+orthonormality checks need.
 """
 
 from dataclasses import dataclass
@@ -32,6 +35,19 @@ def scalar_count_above(q, a, b, h, lambda_star):
     disc = oracle.discretize_interval(q, a, b, h, n=1)
     vals = oracle.eigenvalues(disc)
     return int(np.sum(vals > lambda_star))
+
+
+def dense_matrix(disc):
+    """The full symmetric matrix of an ``oracle.Discretization`` (small
+    problems only)."""
+    m = disc.size
+    out = np.zeros((m, m))
+    for off in range(disc.band.shape[0]):
+        vals = disc.band[off, : m - off]
+        idx = np.arange(m - off)
+        out[idx + off, idx] = vals
+        out[idx, idx + off] = vals
+    return out
 
 
 def householder_tridiagonal(m):
@@ -247,3 +263,14 @@ def evans_matched_at(model, lams, opts, x_m):
     u_minus = flow.propagate(model, lams, unstable, [-L, x_m], opts)[-1]
     u_plus = flow.propagate(model, lams, stable, [L, x_m], opts)[-1]
     return np.linalg.det(np.concatenate([u_minus, u_plus], axis=2))
+
+
+def quadrature_grid(n_polar=24, n_azimuth=48):
+    """Gauss-Legendre in cos(theta) times uniform azimuth, with weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_polar)
+    thetas = np.arccos(nodes)
+    phis = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    w_phi = 2.0 * np.pi / n_azimuth
+    theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
+    weight_grid = np.broadcast_to((weights * w_phi)[:, None], theta_grid.shape)
+    return theta_grid.ravel(), phi_grid.ravel(), weight_grid.ravel()

@@ -60,13 +60,24 @@ LIBRARY_API = {
 }
 
 
+def _module_paths():
+    """The modules of src/, less __init__.py."""
+    return [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+
+
+def _caller_trees():
+    """Parsed src/ modules (less __init__.py) and perfbench/cases.py: the
+    code whose reads and calls give a name or a setting its caller."""
+    paths = _module_paths() + [ROOT / "perfbench" / "cases.py"]
+    return [ast.parse(path.read_text(), str(path)) for path in paths]
+
+
 def referenced_names():
     """Names that src/ (less __init__.py) and perfbench/cases.py read, as
     variables or attributes; definitions and docstrings do not count."""
-    paths = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
     names = set()
-    for path in paths + [ROOT / "perfbench" / "cases.py"]:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -90,6 +101,62 @@ def test_public_names_have_a_caller_or_a_reason():
     assert [name for name in LIBRARY_API
             if name in referenced or name not in PUBLIC_NAMES] == []
     assert all(reason and "\n" not in reason for reason in LIBRARY_API.values())
+
+
+def test_every_function_has_a_caller():
+    # a module-level function that only tests call belongs in
+    # tests/reference.py
+    referenced = referenced_names()
+    assert [(path.stem, node.name) for path in _module_paths()
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name not in referenced and node.name not in PUBLIC_NAMES] == []
+
+
+def _defaulted_parameters(function, method):
+    """(position or None, name) of each parameter of ``function`` that has a
+    default; positions count the arguments of a call, so a method's self
+    or cls is left out."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    shift = 1 if method else 0
+    return ([(i - shift, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def test_every_setting_has_a_caller():
+    # a default that no call overrides is a constant: a knob only tests
+    # turn is a module constant they patch, as brent.MAXITER is
+    calls = {}
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(function, position, name):
+        return any(
+            any(k.arg in (name, None) for k in call.keywords)
+            or position is not None and (
+                len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args))
+            for call in calls.get(function, ()))
+
+    unpassed = []
+    for path in _module_paths():
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in node.decorator_list)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                unpassed += [(path.stem, node.name, name)
+                             for position, name in _defaulted_parameters(node, node in methods)
+                             if not passed(node.name, position, name)]
+    assert unpassed == []
 
 
 def _src_sites(matches):

@@ -282,6 +282,55 @@ class TestBasics:
         assert json.loads(line)["error"] == "ConfigError"
         assert json.loads(line)["field"] == field
 
+    @pytest.mark.parametrize("config, error, field, phrase", [
+        pytest.param(dict(SECH_CONFIG, potential={
+            "kind": "samples", "x": [-3.0, 1.0, 1.0, 3.0],
+            "values": [[[-1.0]], [[0.5]], [[0.5]], [[-1.0]]]}),
+            "ConfigError", "potential", "strictly increasing", id="samples-x-repeated"),
+        pytest.param(dict(SECH_CONFIG, potential={
+            "kind": "samples", "x": [-3.0, -1.0, 1.0, 3.0], "values": [-1.0, 0.5, 0.5, -1.0]}),
+            "ConfigError", "potential", "shape (4, 1, 1), got (4,)", id="samples-values-shape"),
+        pytest.param(dict(SECH_CONFIG, q_minus=[[-1.0, 0.0], [0.0, -1.0]]),
+                     "ConfigError", "q_minus", "must have shape (1, 1), got (2, 2)",
+                     id="q-minus-shape"),
+        pytest.param(dict(SECH_CONFIG, n=2, q_minus=[[-1.0, 0.5], [0.0, -1.0]],
+                          q_plus=[[-1.0, 0.0], [0.0, -1.0]]),
+                     "ConfigError", "q_minus", "symmetry violated", id="q-minus-asymmetric"),
+        pytest.param([SECH_CONFIG], "ConfigError", "document", "JSON object",
+                     id="document-a-list"),
+        pytest.param(dict(SECH_CONFIG, kind="wave"), "ConfigError", "kind", "one of",
+                     id="kind-unknown"),
+        pytest.param(dict(SECH_CONFIG, potential={"entries": [["-1"]]}),
+                     "ConfigError", "potential", "with a 'kind'", id="potential-no-kind"),
+        pytest.param(dict(SECH_CONFIG, potential={"kind": "expression",
+                                                  "entries": [["-1", "0"]]}),
+                     "ConfigError", "potential", "a table of shape (1, 1)",
+                     id="entries-shape"),
+        pytest.param(dict(SECH_CONFIG, potential={"kind": "spline"}),
+                     "ConfigError", "potential", "'expression' or 'samples'",
+                     id="potential-kind-unknown"),
+        pytest.param(dict(SECH_CONFIG, profile={"kind": "expression",
+                                                "entries": ["sech(x)", "0"]}),
+                     "ConfigError", "profile", "entries of shape (1,)", id="profile-length"),
+        pytest.param('{"n": 1,', "ConfigError", "document", "invalid JSON",
+                     id="invalid-json"),
+        pytest.param(None, "CliUsageError", None, "--model or --config",
+                     id="no-model-or-config"),
+    ])
+    def test_config_and_usage_errors_name_their_field(self, capsys, tmp_path, config,
+                                                      error, field, phrase):
+        argv = ["--json-errors", "conjugate", "--lambda-star", "1e-3"]
+        if config is not None:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload.get("field")) == (error, field)
+        assert phrase in payload["message"]
+
     @pytest.mark.parametrize("field, content", [
         ("document", "[" * 100_000),
         ("path", None),
@@ -487,6 +536,47 @@ class TestBasics:
         assert re.search(r"angle count 2\.0+\d* disagrees with the 1 signed "
                          r"w-eigenvalue crossings at lambda = 0\.001", payload["message"])
 
+    def test_evans_zero_on_a_contour_sample_exit_one(self, capsys, monkeypatch):
+        from maslovstab import flow
+
+        determinant = flow.evans_determinant
+
+        def vanishing(model, lams, opts, xs):
+            values, frames = determinant(model, lams, opts, xs)
+            return np.where(np.arange(len(values)) == 3, 0.0, values), frames
+
+        monkeypatch.setattr(flow, "evans_determinant", vanishing)
+        code, out, err = run(capsys, "--json-errors", "evans", "--model",
+                             "scalar_sech_pulse", "--contour-samples", "64")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ContourError"
+        assert "within the zero margin of an Evans zero (min |E| = 0.000e+00" in (
+            payload["message"])
+
+    def test_failed_segment_with_finite_samples_exit_one(self, capsys, monkeypatch):
+        # every Q sample of the failed step is finite, so the failure is the
+        # solver's own and is reported as one
+        from maslovstab import flow
+
+        solve_ivp = flow.solve_ivp
+
+        def failing(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            assert np.all(np.isfinite(sol.nodes))
+            return dataclasses.replace(sol, success=False, message="step rejected")
+
+        monkeypatch.setattr(flow, "solve_ivp", failing)
+        code, out, err = run(capsys, "--json-errors", "conjugate",
+                             "--model", "scalar_sech_pulse", "--lambda-star", "1e-3")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "SolverError"
+        assert re.fullmatch(r"frame evolution failed on \[\S+, \S+\]: step rejected",
+                            payload["message"])
+
     def test_slow_decay_n2_compare_fits_both_grids(self, capsys, tmp_path):
         # at decay rate 0.3 the h/2 oracle grid holds 27,506 unknowns
         cfg = tmp_path / "model.json"
@@ -666,6 +756,66 @@ class TestArtifacts:
         code, out, _ = run(capsys, "square", "--model", "coupled_gradient_demo",
                            "--lambda-star", "-0.5")
         assert (code, out) == (0, "net_index=0 left=3 top=3 right=0 bottom=0")
+
+    @staticmethod
+    def _csv_and_json(capsys, tmp_path, *argv):
+        """The CSV rows (header dropped) and the JSON payload of two runs of
+        argv that differ only in --format; both print the same summary."""
+        outs = []
+        for fmt in ("csv", "json"):
+            out_file = tmp_path / f"artifact.{fmt}"
+            code, out, _ = run(capsys, *argv, "--format", fmt, "--output", str(out_file))
+            assert code == 0
+            outs.append((out, out_file.read_text()))
+        (summary, table), (json_summary, payload) = outs
+        assert summary == json_summary
+        return list(csv.reader(io.StringIO(table)))[1:], json.loads(payload)
+
+    def test_spectrum_json_holds_the_csv_eigenvalues(self, capsys, tmp_path):
+        rows, payload = self._csv_and_json(capsys, tmp_path, "spectrum",
+                                           "--model", "scalar_sech_pulse")
+        assert payload["method"] == "prufer"
+        assert payload["eigenvalues"] == [float(r[1]) for r in rows]
+        assert [int(r[0]) for r in rows] == [0, 1, 2]
+
+    def test_conjugate_json_holds_the_csv_curve_and_events(self, capsys, tmp_path):
+        rows, payload = self._csv_and_json(capsys, tmp_path, "conjugate",
+                                           "--model", "scalar_sech_pulse",
+                                           "--lambda-star", "1e-3")
+        assert payload["lambda_star"] == 1e-3
+        assert payload["curve"] == [[float(r[0]), float(r[1])] for r in rows]
+        flagged = [r for r in rows if r[2] == "1"]
+        events = payload["events"]
+        assert [e["direction"] for e in events] == [int(r[3]) for r in flagged]
+        assert [e["multiplicity"] for e in events] == [1]
+        # each event flags the CSV sample nearest to it
+        xs = np.array([float(r[0]) for r in rows])
+        assert [xs[np.argmin(np.abs(xs - e["param"]))] for e in events] == [
+            float(r[0]) for r in flagged]
+
+    def test_square_json_holds_the_csv_edges(self, capsys, tmp_path):
+        rows, payload = self._csv_and_json(capsys, tmp_path, "square",
+                                           "--model", "coupled_gradient_demo",
+                                           "--lambda-star", "-0.5")
+        edges = payload["edges"]
+        assert list(edges) == ["bottom", "left", "right", "top"]
+        assert sorted([edge, e["param"], e["multiplicity"], e["direction"]]
+                      for edge, events in edges.items() for e in events) == sorted(
+            [r[0], float(r[1]), int(r[2]), int(r[3])] for r in rows)
+        assert payload["net_index"] == 0 and {r[0] for r in rows} == {"left", "top"}
+
+    def test_evans_json_holds_the_csv_contour(self, capsys, tmp_path):
+        rows, payload = self._csv_and_json(
+            capsys, tmp_path, "evans", "--model", "scalar_sech_pulse",
+            "--contour-center", "1.25", "0", "--contour-radius", "0.5",
+            "--contour-samples", "64")
+        assert payload["winding"] == 1
+        contour = payload["contour"]
+        assert (contour["center"], contour["radius"], contour["samples"]) == (
+            [1.25, 0.0], 0.5, len(rows))
+        ts, res, ims = (np.array([float(r[i]) for r in rows]) for i in range(3))
+        points = complex(*contour["center"]) + contour["radius"] * np.exp(2j * np.pi * ts)
+        assert_allclose(res + 1j * ims, points, rtol=0.0, atol=1e-15)
 
     def test_compare_json_payload(self, capsys, tmp_path):
         out_file = tmp_path / "compare.json"

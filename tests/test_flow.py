@@ -737,7 +737,8 @@ class TestRobustness:
         for a, b in zip(ev1, ev2):
             assert abs(a.param - b.param) < 1e-6
 
-    def test_scalar_consistency_with_prufer(self):
+    def test_scalar_consistency_with_prufer(self, monkeypatch):
+        monkeypatch.setattr(prufer, "COUNT_RTOL", 1e-12)
         opts = FlowOptions(rtol=1e-11)
         for model, lam in ((SECH, 1e-3), (SECH, -0.5), (FRONT, 0.5)):
             resolved = opts.resolve(model)
@@ -746,7 +747,7 @@ class TestRobustness:
             prob = prufer.ScalarProblem(
                 q=lambda x, m=model: float(m.q(x)[0, 0]), interval=(-L, L)
             )
-            expected = prufer.conjugate_points(prob, lam, rtol=1e-12)
+            expected = prufer.conjugate_points(prob, lam)
             assert len(events) == len(expected)
             for e, x_ref in zip(events, expected):
                 assert abs(e.param - x_ref) < 1e-6

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
 import zoo
-from reference import charpoly_bisection_eigenvalues
+from reference import charpoly_bisection_eigenvalues, dense_matrix
 from maslovstab import oracle
 from maslovstab.cli import main
 from maslovstab.errors import (
@@ -64,7 +64,7 @@ class TestDiscretize:
         disc = oracle.discretize_interval(
             lambda x: np.sin(x), 0.0, 3.0, 0.05
         )
-        m = disc.dense()
+        m = dense_matrix(disc)
         assert np.array_equal(m, m.T)
         vals_band = oracle.eigenvalues(disc)
         vals_dense = np.sort(np.linalg.eigvalsh(m))[::-1]
@@ -132,7 +132,7 @@ class TestIndependentReference:
     def test_count_matches_sturm_and_full_spectrum(self, case):
         model, L = _small_cases()[case]
         disc = oracle.discretize(model, L, self.H)
-        reference = charpoly_bisection_eigenvalues(disc.dense())
+        reference = charpoly_bisection_eigenvalues(dense_matrix(disc))
         full = oracle.eigenvalues(disc)
         assert_allclose(np.sort(full), reference, atol=1e-8 * np.max(np.abs(full)))
         # every gap above the essential spectrum, wide enough for the

@@ -145,9 +145,10 @@ class TestBatchedShots:
 
     @pytest.mark.parametrize("prob", [sech2_problem(), cli_sech_problem()],
                              ids=["sech2", "cli-sech"])
-    def test_find_eigenvalues_matches_a_tight_run(self, prob):
-        assert_allclose(find_eigenvalues(prob, 3),
-                        find_eigenvalues(prob, 3, rtol=1e-13), rtol=0.0, atol=1e-11)
+    def test_find_eigenvalues_matches_a_tight_run(self, monkeypatch, prob):
+        vals = find_eigenvalues(prob, 3)
+        monkeypatch.setattr(prufer, "SEARCH_RTOL", 1e-13)
+        assert_allclose(vals, find_eigenvalues(prob, 3), rtol=0.0, atol=1e-11)
 
     def test_sech_pulse_matches_brentq_values(self):
         # spectrum_sech.csv as serial brentq shooting computed it
@@ -270,7 +271,9 @@ class TestFindEigenvalues:
     def test_sech_family_in_at_most_four_rounds(self, monkeypatch, beta, x0):
         pulse = zoo.sech_family_potential(beta, x0)
         prob = ScalarProblem(q=lambda x: float(pulse(x)[0, 0]), interval=(-40.0, 40.0))
-        tight = find_eigenvalues(prob, 3, rtol=1e-13)
+        with monkeypatch.context() as tight_run:
+            tight_run.setattr(prufer, "SEARCH_RTOL", 1e-13)
+            tight = find_eigenvalues(prob, 3)
         shots = record_mismatch_shots(monkeypatch)
         vals = find_eigenvalues(prob, 3)
         assert len(shots) <= 4
