@@ -57,10 +57,12 @@ _OVERRIDE_RANGES = {
     "contour_samples": (8, 100_000, True),
     "count": (1, 10_000, True),
     "epsilon_shift": (0.0, float("inf"), False),
-    # beyond ~1000 the mode rates make the fitted trajectories stiff or
-    # overflow; k_max bounds a loop over Fourier modes
-    "d": (2, 1000, True),
-    "l": (0, 1000, True),
+    # radial.evolve_mode fits a rate over tau in [0, 10] on 257 samples:
+    # past l = 35 the unstable mode's norm squared, ~e^{20 l}, overflows,
+    # and past 2l + d - 2 = 412 the stable fit window, tau <= ln(1e7) /
+    # (2l + d - 2), holds one sample; k_max bounds a loop over Fourier modes
+    "d": (2, 300, True),
+    "l": (0, 35, True),
     "k_max": (0, 10_000, True),
 }
 

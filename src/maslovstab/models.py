@@ -374,17 +374,79 @@ def _table_callables(entries, field):
     return at, on_grid
 
 
+def _dgtsv(dl, d, du, b):
+    """Solve the tridiagonal system (dl, d, du) for every column of b in
+    place: reference LAPACK ``dgtsv`` line by line, Gaussian elimination
+    with partial pivoting (a row interchange where |d_i| < |dl_i|, which
+    leaves the second superdiagonal in dl) and back substitution.
+
+    Every dl_i of a spline system is positive, so the pivot of a step
+    without interchange is never 0 and ``dgtsv``'s INFO checks are left
+    out; a last pivot of 0 would leave non-finite slopes, which the
+    model's sample check refuses.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1].copy(), b[i] - fact * b[i + 1]
+    b[n - 1] /= d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+
+
+def _spline_coefficients(xs, ys):
+    """The (4, N - 1, m) coefficients of s**3, s**2, s and 1 of the
+    not-a-knot cubic through (xs, ys), ys of shape (N, m), N >= 4.
+
+    A port of scipy's ``CubicSpline(xs, ys, axis=0)``: the knot slopes
+    solve its tridiagonal system, built in its order and banded layout,
+    one column per entry, by ``_dgtsv``; the pieces then follow
+    ``CubicHermiteSpline``.  Each float equals scipy's ``.c`` bit for bit
+    (``tests/test_models.py`` pins it).
+    """
+    dx = np.diff(xs)
+    dxr = dx[:, None]
+    slope = np.diff(ys, axis=0) / dxr
+    first, last = xs[2] - xs[0], xs[-1] - xs[-3]
+    slopes = np.empty_like(ys)
+    slopes[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    slopes[0] = ((dxr[0] + 2 * first) * dxr[1] * slope[0]
+                 + dxr[0] ** 2 * slope[1]) / first
+    slopes[-1] = (dxr[-1] ** 2 * slope[-2]
+                  + (2 * last + dxr[-1]) * dxr[-2] * slope[-1]) / last
+    _dgtsv(np.append(dx[1:], last).tolist(),
+           np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist(),
+           np.append(first, dx[:-1]).tolist(), slopes)
+    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - slopes[:-1]) / dxr - t, slopes[:-1], ys[:-1]))
+
+
 def _samples_callables(doc, n, field):
     """Cubic spline through the samples, x clipped to [x_0, x_N], as x ->
     (n, n) and as xs (m,) -> (m, n, n).
 
-    Both evaluate the pieces of scipy's ``CubicSpline`` in the order
-    ``PPoly`` uses, the first in scalar floats, so each value equals
-    ``spline(clip(x, x_0, x_N))`` bit for bit at a fraction of its per-call
-    cost.
+    The coefficients are a pinned port of scipy's ``CubicSpline``
+    construction (not-a-knot ends, ``_spline_coefficients``), so importing
+    a config loads no scipy.  Both callables evaluate the pieces in the
+    order ``PPoly`` uses, the first in scalar floats, so each value equals
+    scipy's ``CubicSpline(x, values, axis=0)(clip(x, x_0, x_N))`` bit for
+    bit at a fraction of its per-call cost.
     """
-    from scipy.interpolate import CubicSpline
-
     xs = _float_array(doc.get("x", []), field)
     values = _float_array(doc.get("values", []), field)
     if xs.ndim != 1 or len(xs) < 4:
@@ -397,9 +459,9 @@ def _samples_callables(doc, n, field):
         raise ConfigError(
             field, f"values must have shape ({len(xs)}, {n}, {n}), got {values.shape}"
         )
-    # the coefficients of s**3, s**2, s and 1, per interval and entry; PPoly
-    # starts its sum from 0.0, which turns a -0.0 constant into 0.0
-    coef = CubicSpline(xs, values, axis=0).c.reshape(4, len(xs) - 1, n * n)
+    # per interval and entry; PPoly starts its sum from 0.0, which turns a
+    # -0.0 constant into 0.0
+    coef = _spline_coefficients(xs, values.reshape(len(xs), n * n))
     coef[3] += 0.0
     pieces = [list(zip(*coef[:, i].tolist())) for i in range(len(xs) - 1)]
     knots = xs.tolist()

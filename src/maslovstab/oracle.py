@@ -8,18 +8,19 @@ additivity over Schur complements): block cyclic reduction of the matrix
 shifted by lambda_star -+ h^2 counts the positive eigenvalues of every block
 it eliminates.  lambda_star must lie above the essential spectrum, where the
 truncation creates no boundary modes.  LAPACK's banded eigensolver serves
-``eigenvalues`` and names an eigenvalue that lies too close to lambda_star;
-the tests check the inertia counts against it, and it against an
-independently written Householder + Sturm-bisection solver
-(``tests/reference.py``).
+``eigenvalues`` and names an eigenvalue that lies too close to lambda_star.
+It comes from ``banded``, which imports ``scipy.linalg`` at the first band
+solve, so a count alone loads no scipy.  The tests check the inertia counts
+against it, and it against an independently written Householder +
+Sturm-bisection solver (``tests/reference.py``).
 """
 
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
+from .banded import eigvals_banded
 from .errors import DiscretizationError, NonHyperbolicError, SeparationError
 from .models import check_essential_stability, potential_samples
 

@@ -673,12 +673,47 @@ class TestBasics:
         assert out == "exponents=0,0"
 
 
+    @pytest.mark.parametrize("d, l", [(2, 0), (2, 35), (3, 35), (300, 0), (300, 35)])
+    def test_radial_range_corners_fit(self, capsys, d, l):
+        code, out, err = run(capsys, "radial", "--d", str(d), "--l", str(l))
+        assert (code, err) == (0, "")
+        assert out == f"exponents={l},{-(l + d - 2)}"
+
+    @pytest.mark.parametrize("d, l", [(1, 0), (301, 0), (2, -1), (300, 36)])
+    def test_radial_past_the_range_is_a_usage_error(self, capsys, d, l):
+        code, out, err = run(capsys, "--json-errors", "radial", "--d", str(d),
+                             "--l", str(l))
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "CliUsageError"
+        assert "outside the admissible range" in payload["message"]
+
 class TestColdStart:
-    def test_cli_run_loads_no_optimize_integrate_or_sparse(self):
-        # a fresh interpreter, as every maslov-stab invocation starts one; the
-        # conjugate command refines its crossing with the Brent root finder
-        script = """
+    # each script runs in a fresh interpreter, as every maslov-stab
+    # invocation starts one
+    @staticmethod
+    def _fresh(script):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_import_and_runs_load_no_scipy(self, tmp_path):
+        # conjugate refines its crossing with the Brent root finder, and a
+        # square on sampled Q builds the spline in the package
+        xs = np.linspace(-24.0, 24.0, 193)
+        cfg = tmp_path / "sampled.json"
+        cfg.write_text(json.dumps(dict(SECH_CONFIG, potential={
+            "kind": "samples", "x": xs.tolist(),
+            "values": (-1.0 + 3.0 / np.cosh(xs / 2) ** 2)[:, None, None].tolist()})))
+        script = f"""
 import sys
+def scipy_modules():
+    print(sorted(name for name in sys.modules if name.startswith("scipy")))
+import maslovstab.cli
+scipy_modules()
 import maslovstab.flow as flow
 from maslovstab.cli import main
 brentq, calls = flow.brentq, []
@@ -688,15 +723,26 @@ def counted(*args, **kwargs):
 flow.brentq = counted
 assert main(["conjugate", "--model", "scalar_sech_pulse", "--lambda-star", "1e-3"]) == 0
 assert calls, "the run found no crossing to refine"
-print(sorted(name for name in sys.modules if name.split(".")[:2] in (
-    ["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "sparse"])))
+scipy_modules()
+assert main(["square", "--config", {str(cfg)!r}, "--lambda-star", "1e-3"]) == 0
+scipy_modules()
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["conjugate_points=1", "[]"]
+        assert self._fresh(script) == [
+            "[]", "conjugate_points=1", "[]",
+            "net_index=0 left=1 top=1 right=0 bottom=0", "[]"]
+
+    def test_spectrum_loads_scipy_linalg_at_its_band_solve(self, capsys):
+        argv = ["spectrum", "--model", "coupled_gradient_demo", "--count", "4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        script = f"""
+import sys
+from maslovstab.cli import main
+print("scipy.linalg" in sys.modules)
+assert main({argv!r}) == 0
+print("scipy.linalg" in sys.modules)
+"""
+        assert self._fresh(script) == ["False", out, "True"]
 
 
 class TestArtifacts:

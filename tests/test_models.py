@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from maslovstab import models
 from maslovstab.errors import ConfigError, ModelValidationError
 from maslovstab.models import (
     BUILTIN_NAMES,
@@ -292,6 +293,36 @@ class TestFromConfig:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         got = potential_samples(model, points)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_spline_coefficients_are_scipys(self, monkeypatch):
+        # the package's not-a-knot build, float for float against scipy's,
+        # over 4 to 120 samples, n = 1..3 and a -0.0 sample in every set
+        from scipy.interpolate import CubicSpline
+
+        dgtsv, interchanged = models._dgtsv, []
+
+        def recording(dl, d, du, b):
+            # dgtsv leaves the second superdiagonal in dl: nonzero in a row
+            # that took the interchange branch, 0.0 in one that did not
+            dgtsv(dl, d, du, b)
+            interchanged.append(any(dl[:-1]))
+
+        monkeypatch.setattr(models, "_dgtsv", recording)
+        rng = np.random.default_rng(35)
+        for trial in range(48):
+            count = 4 if trial % 4 == 0 else int(rng.integers(5, 121))
+            n = 1 + trial % 3
+            if trial % 2:
+                xs = np.linspace(-6.0, 6.0, count)
+            else:
+                xs = np.cumsum(rng.exponential(1.0, count) ** 3 + 1e-3)
+            values = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-3, 3)
+            values[rng.integers(count)] = -0.0
+            ys = values.reshape(count, n * n)
+            got = models._spline_coefficients(xs, ys)
+            want = CubicSpline(xs, values, axis=0).c.reshape(4, count - 1, n * n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(interchanged) == 48 and set(interchanged) == {True, False}
 
     def test_unknown_key_rejected(self):
         cfg = dict(SECH_CONFIG)
